@@ -4,12 +4,12 @@ Replays the motivating serving scenario for
 :class:`~repro.lsh.binindex.SchemeBinIndex`: a
 :class:`~repro.serve.ResolverSession` answers a ``top_k`` query, the
 store is extended twice, and each extension is followed by another
-query.  With the bin index on, the streaming front-end's ``H_1`` delta
-index carries across extensions (:class:`~repro.online.StreamCarry`)
-and only the *new* records are re-grouped; with it off, every
-extension re-inserts the full store into plain dict tables.  The
-benchmark runs the scenario both ways, verifies all three query
-outputs are bit-identical, and writes the grouping counters to
+query.  The streaming front-end's ``H_1`` delta index carries across
+extensions (:class:`~repro.online.StreamCarry`), so only the *new*
+records are re-grouped.  After the last extension a carry-less
+:class:`~repro.online.StreamingTopK` on the same method inserts every
+record; the benchmark checks that both give the same coarse clusters
+and the same top-k clusters, and writes the grouping counters to
 ``BENCH_binning.json``.
 
 Fails (exit 1) if the outputs differ, or if the delta index re-grouped
@@ -28,49 +28,16 @@ import numpy as np
 from repro.bench import emit_result
 from repro.core.config import AdaptiveConfig
 from repro.datasets import generate_spotsigs
+from repro.online import StreamingTopK
 from repro.serve import ResolverSession
 
 
-def _cluster_tuples(result):
-    return [tuple(int(r) for r in c.rids) for c in result.clusters]
+def _cluster_lists(clusters):
+    return [[int(r) for r in c] for c in clusters]
 
 
-def _run(dataset, n_head, n_ext, k, *, seed, bin_index):
-    store = dataset.store
-    head = store.take(np.arange(n_head))
-    ext1 = store.take(np.arange(n_head, n_head + n_ext))
-    ext2 = store.take(np.arange(n_head + n_ext, n_head + 2 * n_ext))
-    config = AdaptiveConfig(
-        seed=seed, cost_model="analytic", bin_index=bin_index
-    )
-    outputs = []
-    started = time.perf_counter()
-    session = ResolverSession(head, dataset.rule, config=config)
-    try:
-        outputs.append(_cluster_tuples(session.top_k(k)))
-        session.extend_store(ext1)
-        outputs.append(_cluster_tuples(session.top_k(k)))
-        session.extend_store(ext2)
-        outputs.append(_cluster_tuples(session.top_k(k)))
-        stats = session.serving_stats()["bin_index"]
-        delta = (
-            session._stream.delta_index
-            if session._stream is not None
-            else None
-        )
-        table_count = (
-            int(delta.export_state()["table_count"])
-            if delta is not None
-            else 0
-        )
-    finally:
-        session.close()
-    elapsed = time.perf_counter() - started
-    return {
-        "seconds": round(elapsed, 4),
-        "stats": stats,
-        "table_count": table_count,
-    }, outputs
+def _answer(result):
+    return _cluster_lists(c.rids for c in result.clusters)
 
 
 def main(argv=None) -> int:
@@ -87,31 +54,39 @@ def main(argv=None) -> int:
         parser.error("--records must exceed twice --extension")
     n_head = args.records - 2 * args.extension
     dataset = generate_spotsigs(n_records=args.records, seed=args.seed)
+    store = dataset.store
+    head = store.take(np.arange(n_head))
+    ext1 = store.take(np.arange(n_head, n_head + args.extension))
+    ext2 = store.take(np.arange(n_head + args.extension, args.records))
+    config = AdaptiveConfig(seed=args.method_seed, cost_model="analytic")
 
-    off, off_outputs = _run(
-        dataset,
-        n_head,
-        args.extension,
-        args.k,
-        seed=args.method_seed,
-        bin_index=False,
-    )
-    on, on_outputs = _run(
-        dataset,
-        n_head,
-        args.extension,
-        args.k,
-        seed=args.method_seed,
-        bin_index=True,
-    )
+    with ResolverSession(head, dataset.rule, config=config) as session:
+        started = time.perf_counter()
+        session.top_k(args.k)
+        session.extend_store(ext1)
+        session.top_k(args.k)
+        session.extend_store(ext2)
+        carried_answer = _answer(session.top_k(args.k))
+        carried_seconds = time.perf_counter() - started
+        carried = session._stream
+        carried_coarse = _cluster_lists(carried.current_clusters())
+        # The serving method (and its bin index) is re-seated per
+        # extension, so the counters cover the *latest* extension only.
+        stats = session.serving_stats()["bin_index"]
+        table_count = session.method._functions[0].scheme.table_count
 
-    identical = off_outputs == on_outputs
-    # The serving method (and its bin index) is re-seated per
-    # extension, so the counter covers the *latest* extension only:
-    # delta rows = new-records x tables, vs a carry-less front-end
+        started = time.perf_counter()
+        fresh = StreamingTopK(session.store, method=session.method)
+        fresh.insert_many(session.store.rids)
+        fresh_answer = _answer(fresh.top_k(args.k))
+        fresh_seconds = time.perf_counter() - started
+        fresh_coarse = _cluster_lists(fresh.current_clusters())
+
+    identical = carried_coarse == fresh_coarse and carried_answer == fresh_answer
+    # Delta rows = new records x tables, vs a carry-less front-end
     # re-inserting the whole store (records x tables).
-    delta_rows = (on["stats"] or {}).get("delta", {}).get("rows", 0)
-    full_rows = args.records * on["table_count"]
+    delta_rows = stats["delta"]["rows"]
+    full_rows = args.records * table_count
     ratio = delta_rows / full_rows if full_rows else 0.0
 
     emit_result(
@@ -125,16 +100,17 @@ def main(argv=None) -> int:
             "method_seed": args.method_seed,
         },
         timings={
-            "bin_off_seconds": off["seconds"],
-            "bin_on_seconds": on["seconds"],
+            "carried_session_seconds": round(carried_seconds, 4),
+            "carryless_stream_seconds": round(fresh_seconds, 4),
         },
         payload={
             "scenario": (
                 f"ResolverSession on spotsigs({args.records}), "
-                f"2 extensions of {args.extension} with top_k after each"
+                f"2 extensions of {args.extension} with top_k after each; "
+                "then a carry-less StreamingTopK re-inserting every record"
             ),
-            "bin_off": off,
-            "bin_on": on,
+            "stats": stats,
+            "table_count": table_count,
             "delta_rows": int(delta_rows),
             "full_regroup_rows": int(full_rows),
             "delta_rows_ratio": round(ratio, 4),
@@ -142,7 +118,7 @@ def main(argv=None) -> int:
         },
     )
     if not identical:
-        print("FATAL: bin-index outputs differ from legacy outputs")
+        print("FATAL: the carried session and the carry-less stream differ")
         return 1
     if not delta_rows or delta_rows >= full_rows:
         print(

@@ -28,7 +28,7 @@ import numpy as np
 from ..distance.rules import MatchRule
 from ..errors import ConfigurationError, ResolvableExceededError, SnapshotError
 from ..kernels import resolve_kernels, use_kernels
-from ..lsh.binindex import SchemeBinIndex, resolve_bin_index
+from ..lsh.binindex import SchemeBinIndex
 from ..lsh.design import DesignContext, SchemeDesign, design_sequence
 from ..lsh.families import SignaturePool
 from ..lsh.keycache import LevelKeyCache
@@ -160,11 +160,9 @@ class AdaptiveLSH:
             LevelKeyCache(len(store)) if cfg.signature_cache else None
         )
         #: Persistent fingerprint bin index (CSR collision groups and
-        #: streaming delta candidates); ``None`` when disabled.
-        self._bin_index: SchemeBinIndex | None = (
-            SchemeBinIndex(len(store), max_bytes=cfg.bin_index_bytes)
-            if resolve_bin_index(cfg.bin_index)
-            else None
+        #: streaming delta candidates).
+        self._bin_index = SchemeBinIndex(
+            len(store), max_bytes=cfg.bin_index_bytes
         )
         self._prepared = False
         #: True when prepared state was adopted from a snapshot instead
@@ -253,8 +251,11 @@ class AdaptiveLSH:
         ``self._ctx`` / ``self._designs`` / ``self.cost_model`` — the
         shared tail of cold :meth:`_prepare` and warm
         :meth:`adopt_prepared_state`."""
+        self._bin_index.observer = self.obs
         self._functions = [
-            TransitiveHashingFunction(level + 1, design)
+            TransitiveHashingFunction(
+                level + 1, design, self._bin_index.level(level + 1)
+            )
             for level, design in enumerate(self._designs)
         ]
         self._pools = [
@@ -276,10 +277,6 @@ class AdaptiveLSH:
             self._key_cache.observer = self.obs
             for fn in self._functions:
                 fn.key_cache = self._key_cache.entry(fn.level)
-        if self._bin_index is not None:
-            self._bin_index.observer = self.obs
-            for fn in self._functions:
-                fn.bin_index = self._bin_index.level(fn.level)
         if self._pair_memo is not None:
             self._pair_memo.observer = self.obs
             # Establish (or re-validate) the memo's (store, rule)
@@ -324,8 +321,8 @@ class AdaptiveLSH:
         return self._pair_memo
 
     @property
-    def bin_index(self) -> SchemeBinIndex | None:
-        """The fingerprint bin index, or ``None`` when disabled."""
+    def bin_index(self) -> SchemeBinIndex:
+        """The fingerprint bin index."""
         return self._bin_index
 
     def adopt_pair_memo(self, memo: PairVerdictMemo | None) -> None:
@@ -433,8 +430,7 @@ class AdaptiveLSH:
             info["signature_cache"] = self._key_cache.stats()
         if self._pair_memo is not None:
             info["memoized_pairs"] = self._pair_memo.stats()
-        if self._bin_index is not None:
-            info["bin_index"] = self._bin_index.stats()
+        info["bin_index"] = self._bin_index.stats()
         backing = self.store.backing
         if backing is not None:
             info["store_backing"] = {
@@ -525,7 +521,7 @@ class AdaptiveLSH:
         """Apply ``H_level`` on ``rids`` and wrap the output clusters."""
         fn = self._functions[level - 1]
         self._level_of[rids] = level
-        parts = fn.apply(rids, counters, observer=self.obs)
+        parts = fn.apply(rids, counters)
         return [Cluster(part, level) for part in parts]
 
     def _apply_pairwise(self, rids: IntArray, counters: WorkCounters) -> list[Cluster]:

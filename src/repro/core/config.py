@@ -27,6 +27,11 @@ SELECTIONS = ("largest", "largest-unoptimized", "smallest", "random")
 #: Jump policies for the Line-5 hashing-vs-pairwise decision.
 JUMP_POLICIES = ("line5", "lookahead")
 
+#: Settings that no longer exist but appear in saved snapshot headers;
+#: :meth:`AdaptiveConfig.from_dict` drops them.  ``bin_index`` was the
+#: on/off switch of the (now always used) fingerprint bin index.
+RETIRED_KEYS = frozenset({"bin_index"})
+
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
@@ -60,11 +65,10 @@ class AdaptiveConfig:
     #: ``REPRO_PAIR_MEMO`` environment variable, default enabled).
     pair_memo: bool | None = None
     pair_memo_bytes: int = DEFAULT_PAIR_MEMO_BYTES
-    #: Persistent fingerprint bin index for collision grouping and
-    #: streaming delta candidate generation (``None`` defers to the
-    #: ``REPRO_BIN_INDEX`` environment variable, default enabled).
-    #: Grouping output is bit-identical either way.
-    bin_index: bool | None = None
+    #: Byte budget of the bin index.  It bounds the fingerprint
+    #: matrices only: a level over budget recomputes fingerprints
+    #: instead of storing them, while the streaming delta arrays are
+    #: always admitted (and count against the budget).
     bin_index_bytes: int = DEFAULT_BIN_INDEX_BYTES
 
     def __post_init__(self) -> None:
@@ -121,20 +125,22 @@ class AdaptiveConfig:
             "signature_cache": self.signature_cache,
             "pair_memo": self.pair_memo,
             "pair_memo_bytes": self.pair_memo_bytes,
-            "bin_index": self.bin_index,
             "bin_index_bytes": self.bin_index_bytes,
         }
 
     @classmethod
     def from_dict(cls, data: dict[str, Any], **overrides: Any) -> AdaptiveConfig:
-        """Rebuild from :meth:`to_dict` output; ``overrides`` win."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        """Rebuild from :meth:`to_dict` output; ``overrides`` win.
+
+        Keys in :data:`RETIRED_KEYS` (written by older snapshots) are
+        dropped; any other unknown key is an error.
+        """
+        merged = {k: v for k, v in data.items() if k not in RETIRED_KEYS}
+        unknown = set(merged) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigurationError(
                 f"unknown AdaptiveConfig keys: {sorted(unknown)}"
             )
-        merged = dict(data)
         merged.update(overrides)
         budgets = merged.get("budgets")
         if budgets is not None:

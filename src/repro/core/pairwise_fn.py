@@ -13,16 +13,16 @@ share the same semantics:
   NumPy batch evaluation beats Python-level skipping.  When an
   :class:`~repro.parallel.pool.ExecutionPool` is attached (and the
   input clears its size threshold), the row-blocks are fanned across
-  worker processes and their edge lists replayed in serial order, so
-  the parallel result is bit-identical to the serial one.
+  worker processes.
 
 Both strategies consult an optional
 :class:`~repro.core.pairmemo.PairVerdictMemo`: the rowwise path skips
 candidates whose verdict is already remembered, and the blocked path
-masks memoized cells out of the matrix evaluations, merging the
-remembered match edges back in exact ``np.nonzero`` enumeration order
-— so cluster content and leaf order stay bit-identical to the
-memo-off computation for every strategy and every ``n_jobs``.
+masks memoized cells out of the matrix evaluations and merges the
+remembered match edges back in.  Every strategy, with or without the
+memo and for every ``n_jobs``, outputs the same partition in the
+canonical order of
+:func:`~repro.structures.union_find.canonical_clusters`.
 
 The cost model always charges the conservative ``C(|S|, 2)`` pairs
 (``pairs_charged``); ``pairs_compared`` records the evaluations the
@@ -32,6 +32,7 @@ pairs cost (and count) nothing.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -43,8 +44,7 @@ from ..obs.clock import monotonic
 from ..parallel import worker as parallel_worker
 from ..parallel.pool import ExecutionPool, resolve_n_jobs
 from ..records import RecordStore
-from ..structures.parent_pointer_tree import ParentPointerForest
-from ..structures.union_find import ClusterUnionFind
+from ..structures.union_find import ClusterUnionFind, UnionFind, canonical_clusters
 from ..types import ArrayLike, IntArray
 from .pairmemo import MATCH, NO_MATCH, UNKNOWN, PairVerdictMemo, pack_pair_keys
 from .result import WorkCounters
@@ -107,10 +107,7 @@ class _BlockPlan(NamedTuple):
     block row when the whole triangle is unverified) plus one
     ``pair_rows`` × ``intra_rect_cols`` rectangle; the unverified
     block-vs-earlier cells are covered by the (row-disjoint) rectangles
-    in ``cross_rects``.  Index arrays are sorted ascending, so mapping
-    job-local edges through them preserves ``np.nonzero`` row-major
-    order (rectangle edges are re-oriented and re-sorted at merge time
-    anyway).
+    in ``cross_rects``.
     """
 
     start: int
@@ -120,7 +117,7 @@ class _BlockPlan(NamedTuple):
     #: Block-local rows evaluated against every ``pair_rows`` row.
     intra_rect_cols: IntArray
     #: Remembered intra match edges outside the re-evaluated region
-    #: (block-local ``i < j``, row-major order).
+    #: (block-local ``i < j``).
     known_intra_i: IntArray
     known_intra_j: IntArray
     #: Row-disjoint rectangles covering the unverified block-vs-earlier
@@ -249,24 +246,18 @@ class PairwiseComputation:
         self, rids: IntArray, counters: WorkCounters | None
     ) -> list[IntArray]:
         memo = self._active_memo()
-        forest = ParentPointerForest()
-        int_rids: list[int] = rids.tolist()
-        for rid in int_rids:
-            forest.make_singleton(rid)
+        m = int(rids.size)
+        uf = UnionFind(m)
         compared = 0
-        for j in range(1, len(int_rids)):
-            rid_j = int_rids[j]
+        for j in range(1, m):
+            rid_j = int(rids[j])
             rid_j_arr = np.asarray(rid_j, dtype=np.int64)
             for lo in range(0, j, self._ROW_CHUNK):
                 hi = min(lo + self._ROW_CHUNK, j)
-                root_j = forest.find_root(rid_j)
+                root_j = uf.find(j)
                 # Optimization (2): candidates already transitively
                 # connected to rid_j contribute no new edges.
-                pending = [
-                    i
-                    for i in range(lo, hi)
-                    if forest.find_root(int_rids[i]) is not root_j
-                ]
+                pending = [i for i in range(lo, hi) if uf.find(i) != root_j]
                 if not pending:
                     continue
                 candidates = rids[pending]
@@ -292,15 +283,10 @@ class PairwiseComputation:
                     compared += len(pending)
                 for idx, hit in zip(pending, matches):
                     if hit:
-                        forest.union_records(rid_j, int_rids[idx])
+                        uf.union(j, idx)
         if counters is not None:
             counters.pairs_compared += compared
-        return [
-            np.fromiter(
-                ParentPointerForest.leaves(root), dtype=np.int64, count=root.n_leaves
-            )
-            for root in forest.roots()
-        ]
+        return canonical_clusters(rids, uf.labels())
 
     # ------------------------------------------------------------------
     # blocked strategy
@@ -311,61 +297,39 @@ class PairwiseComputation:
         memo = self._active_memo()
         if memo is not None:
             return self._apply_blocked_memo(rids, memo, counters)
+        m = int(rids.size)
+        bundles = None
         if self.pool is not None:
             bundles = self.pool.pairwise_block_edges(
                 self.rule, rids, BLOCK, kernels=self.kernels
             )
-            if bundles is not None:
-                return self._replay_blocked(rids, bundles, counters)
-        m = int(rids.size)
+        if bundles is None:
+            bundles = self._iter_block_edges(rids)
         merger = ClusterUnionFind(m)
-        compared = 0
-        for start in range(0, m, BLOCK):
-            stop = min(start + BLOCK, m)
-            block = rids[start:stop]
-            # Within-block upper triangle.
-            square = self.rule.pairwise_match(self.store, block)
-            compared += (stop - start) * (stop - start - 1) // 2
-            intra_i, intra_j = np.nonzero(np.triu(square, k=1))
-            merger.union_edges(intra_i + start, intra_j + start)
-            # Cross block: rows in this block vs all earlier records.
-            if start:
-                earlier = rids[:start]
-                cross = self.rule.match_block(self.store, block, earlier)
-                compared += (stop - start) * start
-                cross_i, cross_j = np.nonzero(cross)
-                merger.union_edges(cross_i + start, np.asarray(cross_j))
-        if counters is not None:
-            counters.pairs_compared += compared
-        return [rids[members] for members in merger.clusters()]
-
-    def _replay_blocked(
-        self,
-        rids: IntArray,
-        bundles: list[tuple[int, IntArray, IntArray, IntArray, IntArray]],
-        counters: WorkCounters | None,
-    ) -> list[IntArray]:
-        """Union worker-computed block edges in serial order.
-
-        ``bundles`` arrives in ascending block order with each edge
-        list in ``np.nonzero`` enumeration order — the exact union
-        sequence of :meth:`_apply_blocked` — so the resulting clusters
-        (content and leaf order) are bit-identical to the serial
-        blocked strategy.
-        """
-        m = int(rids.size)
-        merger = ClusterUnionFind(m)
-        compared = 0
         for start, intra_i, intra_j, cross_i, cross_j in bundles:
-            stop = min(start + BLOCK, m)
-            compared += (stop - start) * (stop - start - 1) // 2
             merger.union_edges(intra_i + start, intra_j + start)
             if start:
-                compared += (stop - start) * start
                 merger.union_edges(cross_i + start, cross_j)
         if counters is not None:
-            counters.pairs_compared += compared
-        return [rids[members] for members in merger.clusters()]
+            # Every pair of the input lies in exactly one block cell.
+            counters.pairs_compared += m * (m - 1) // 2
+        return canonical_clusters(rids, merger.labels())
+
+    def _iter_block_edges(
+        self, rids: IntArray
+    ) -> Iterator[tuple[int, IntArray, IntArray, IntArray, IntArray]]:
+        """In-process twin of
+        :meth:`~repro.parallel.pool.ExecutionPool.pairwise_block_edges`:
+        each row-block's intra-block and block-vs-earlier match edges."""
+        for start in range(0, int(rids.size), BLOCK):
+            block = rids[start : start + BLOCK]
+            square = self.rule.pairwise_match(self.store, block)
+            intra_i, intra_j = np.nonzero(np.triu(square, k=1))
+            cross_i = cross_j = _EMPTY_I64
+            if start:
+                cross = self.rule.match_block(self.store, block, rids[:start])
+                cross_i, cross_j = np.nonzero(cross)
+            yield start, intra_i, intra_j, cross_i, cross_j
 
     # ------------------------------------------------------------------
     # blocked strategy, memoized
@@ -374,16 +338,14 @@ class PairwiseComputation:
         self, rids: IntArray, memo: PairVerdictMemo, counters: WorkCounters | None
     ) -> list[IntArray]:
         """Blocked evaluation that masks remembered cells out of the
-        matrix calls and merges remembered edges back in serial order.
+        matrix calls and merges remembered edges back in.
 
         Three phases: *plan* every block against the memo (each pair of
         one ``apply`` input occurs in exactly one block cell, so plans
         are independent of this call's own recordings), *evaluate* the
         unverified jobs (in-process or fanned across the pool — both
         run :func:`~repro.parallel.worker.evaluate_block_jobs`), then
-        *merge* remembered and fresh match edges per block by cell
-        index, which reproduces the full-matrix ``np.nonzero``
-        enumeration order exactly.
+        *merge* remembered and fresh match edges per block.
         """
         m = int(rids.size)
         plans = [
@@ -415,7 +377,7 @@ class PairwiseComputation:
             )
         if counters is not None:
             counters.pairs_compared += compared
-        return [rids[members] for members in merger.clusters()]
+        return canonical_clusters(rids, merger.labels())
 
     @staticmethod
     def _plan_jobs(
@@ -442,8 +404,7 @@ class PairwiseComputation:
         """Consult the memo for every cell of one row-block."""
         block = rids[start:stop]
         bs = stop - start
-        # Intra-block upper triangle; triu_indices enumerates row-major,
-        # matching np.nonzero(np.triu(...)).
+        # Intra-block upper triangle.
         tri_i, tri_j = np.triu_indices(bs, k=1)
         verdicts = memo.lookup(pack_pair_keys(block[tri_i], block[tri_j]))
         unknown = verdicts == UNKNOWN
@@ -566,18 +527,15 @@ class PairwiseComputation:
     ) -> None:
         """Record fresh verdicts and union this block's match edges.
 
-        Remembered and fresh edges are disjoint by plan construction
-        (the cover job, the cover-vs-rest rectangle, and the cross
-        rectangles evaluate pairwise-disjoint cell sets); sorting their
-        union by row-major cell index reproduces the order a
-        full-matrix ``np.nonzero`` would have enumerated.
+        Remembered and fresh edges are disjoint by plan construction:
+        the cover job, the cover-vs-rest rectangle, and the cross
+        rectangles evaluate pairwise-disjoint cell sets.
         """
         block = rids[plan.start : plan.stop]
-        bs = plan.stop - plan.start
         rects = iter(rect_edges)
         rows = plan.pair_rows
-        fresh_parts_i = [plan.known_intra_i]
-        fresh_parts_j = [plan.known_intra_j]
+        intra_i = [plan.known_intra_i]
+        intra_j = [plan.known_intra_j]
         if rows.size >= 2:
             s = int(rows.size)
             sub_tri_i, sub_tri_j = np.triu_indices(s, k=1)
@@ -588,8 +546,8 @@ class PairwiseComputation:
                 pack_pair_keys(sub_rids[sub_tri_i], sub_rids[sub_tri_j]),
                 matched[sub_tri_i, sub_tri_j],
             )
-            fresh_parts_i.append(rows[pair_i])
-            fresh_parts_j.append(rows[pair_j])
+            intra_i.append(rows[pair_i])
+            intra_j.append(rows[pair_j])
         if plan.intra_rect_cols.size:
             edge_a, edge_b = next(rects)
             self._record_rect(
@@ -599,28 +557,21 @@ class PairwiseComputation:
                 edge_a,
                 edge_b,
             )
-            # Rectangle cells are unordered block pairs; re-orient so
-            # every edge is upper-triangle before the row-major sort.
-            raw_i = rows[edge_a]
-            raw_j = plan.intra_rect_cols[edge_b]
-            fresh_parts_i.append(np.minimum(raw_i, raw_j))
-            fresh_parts_j.append(np.maximum(raw_i, raw_j))
-        intra_i = np.concatenate(fresh_parts_i)
-        intra_j = np.concatenate(fresh_parts_j)
-        order = np.argsort(intra_i * bs + intra_j, kind="stable")
-        merger.union_edges(intra_i[order] + plan.start, intra_j[order] + plan.start)
+            intra_i.append(rows[edge_a])
+            intra_j.append(plan.intra_rect_cols[edge_b])
+        merger.union_edges(
+            np.concatenate(intra_i) + plan.start,
+            np.concatenate(intra_j) + plan.start,
+        )
         if not plan.start:
             return
         earlier = rids[: plan.start]
-        cross_parts_i = [plan.known_cross_i]
-        cross_parts_j = [plan.known_cross_j]
+        cross_i = [plan.known_cross_i]
+        cross_j = [plan.known_cross_j]
         for (rect_rows, rect_cols), (edge_a, edge_b) in zip(plan.cross_rects, rects):
             self._record_rect(
                 memo, block[rect_rows], earlier[rect_cols], edge_a, edge_b
             )
-            cross_parts_i.append(rect_rows[edge_a])
-            cross_parts_j.append(rect_cols[edge_b])
-        cross_i = np.concatenate(cross_parts_i)
-        cross_j = np.concatenate(cross_parts_j)
-        order = np.argsort(cross_i * plan.start + cross_j, kind="stable")
-        merger.union_edges(cross_i[order] + plan.start, cross_j[order])
+            cross_i.append(rect_rows[edge_a])
+            cross_j.append(rect_cols[edge_b])
+        merger.union_edges(np.concatenate(cross_i) + plan.start, np.concatenate(cross_j))

@@ -116,7 +116,7 @@ class FilterResult:
     @property
     def bin_index_stats(self) -> dict[str, Any] | None:
         """Fingerprint bin-index statistics (``info["bin_index"]``),
-        or ``None`` when the bin index was disabled."""
+        or ``None`` for methods without a bin index (baselines)."""
         return self.info.get("bin_index")
 
     @staticmethod

@@ -1,9 +1,10 @@
 """Transitive hashing functions (paper Definition 1, Appendix B.2).
 
 Applying a function on a set of records builds *fresh* hash tables
-(so clusters from different invocations can never merge), inserts every
-record into each table, unions records sharing a bucket through the
-parent-pointer forest, and outputs one cluster per connected component.
+(so clusters from different invocations can never merge), groups the
+records sharing a bucket in each table, and outputs one cluster per
+connected component of the same-bucket graph, in the canonical order of
+:func:`~repro.structures.union_find.canonical_clusters`.
 
 Hash *values* are nevertheless reused across invocations and across
 functions in the sequence, because they live in the shared
@@ -17,23 +18,26 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..lsh.binindex import LevelBins, SchemeBinIndex, csr_edges
 from ..lsh.design import SchemeDesign
 from ..lsh.scheme import HashingScheme
-from ..structures.parent_pointer_tree import ParentPointerForest
-from ..structures.union_find import ClusterUnionFind
+from ..structures.union_find import ClusterUnionFind, canonical_clusters
 from ..types import ArrayLike, IntArray
 from .result import WorkCounters
 
 if TYPE_CHECKING:
-    from ..lsh.binindex import LevelBins
     from ..lsh.keycache import LevelEntry
-    from ..obs.observer import RunObserver
 
 
 class TransitiveHashingFunction:
     """One function ``H_i`` of the sequence."""
 
-    def __init__(self, level: int, design: SchemeDesign) -> None:
+    def __init__(
+        self,
+        level: int,
+        design: SchemeDesign,
+        bin_index: LevelBins | None = None,
+    ) -> None:
         self.level = level
         self.design = design
         self.scheme: HashingScheme = design.to_scheme()
@@ -41,12 +45,14 @@ class TransitiveHashingFunction:
         #: level's packed bucket keys per record; set by ``AdaptiveLSH``
         #: so re-applying ``H_level`` to subclusters reuses key rows.
         self.key_cache: LevelEntry | None = None
-        #: Optional :class:`~repro.lsh.binindex.LevelBins` — when set
-        #: (by ``AdaptiveLSH``), collision groups come from the
-        #: fingerprint bin index as CSR arrays and unions run through
-        #: the vectorized :class:`ClusterUnionFind` walk.  Both paths
-        #: are bit-identical in content and cluster order.
-        self.bin_index: LevelBins | None = None
+        #: The :class:`~repro.lsh.binindex.LevelBins` that groups each
+        #: table's collisions; ``AdaptiveLSH`` passes its shared index,
+        #: a standalone function owns a private one.
+        self.bin_index: LevelBins = (
+            bin_index
+            if bin_index is not None
+            else SchemeBinIndex(self.scheme.n_records).level(level)
+        )
 
     @property
     def budget(self) -> int:
@@ -54,70 +60,16 @@ class TransitiveHashingFunction:
         return self.design.spent_budget
 
     def apply(
-        self,
-        rids: ArrayLike,
-        counters: WorkCounters | None = None,
-        observer: RunObserver | None = None,
+        self, rids: ArrayLike, counters: WorkCounters | None = None
     ) -> list[IntArray]:
         """Split ``rids`` into clusters (connected components of the
-        same-bucket graph across all tables).
-
-        ``observer`` (an enabled
-        :class:`~repro.obs.observer.RunObserver`) is forwarded to the
-        scheme so per-table grouping work lands in the run metrics.
-        """
+        same-bucket graph across all tables)."""
         rids = np.asarray(rids, dtype=np.int64)
-        if self.bin_index is not None:
-            return self._apply_binned(rids, counters)
-        forest = ParentPointerForest()
-        int_rids: list[int] = rids.tolist()
-        for rid in int_rids:
-            forest.make_singleton(rid)
-        inserts = 0
-        # Buckets are fresh per table, per invocation (App. B.2); the
-        # scheme yields, for each table, the groups of rows that landed
-        # in the same bucket, and group members get unioned.
-        for collision_groups in self.scheme.iter_table_collisions(
-            rids, observer=observer, key_cache=self.key_cache
-        ):
-            for rows in collision_groups:
-                anchor = int_rids[int(rows[0])]
-                for pos in rows[1:]:
-                    forest.union_records(anchor, int_rids[int(pos)])
-            inserts += len(int_rids)
-        if counters is not None:
-            counters.table_inserts += inserts
-        return [
-            np.fromiter(
-                ParentPointerForest.leaves(root), dtype=np.int64, count=root.n_leaves
-            )
-            for root in forest.roots()
-        ]
-
-    def _apply_binned(
-        self, rids: IntArray, counters: WorkCounters | None
-    ) -> list[IntArray]:
-        """CSR fast path: union whole per-table edge arrays.
-
-        Each CSR group expands to the exact edge sequence the forest
-        loop replays — ``(head, member)`` for every non-head member, in
-        group yield order — and :class:`ClusterUnionFind` reproduces
-        the forest's merge rule and cluster emission order, so the
-        output arrays are byte-identical to the legacy path's.
-        """
-        assert self.bin_index is not None
-        cuf = ClusterUnionFind(int(rids.size))
-        inserts = 0
+        merger = ClusterUnionFind(int(rids.size))
         for members, starts in self.bin_index.iter_table_groups(
             self.scheme, rids, key_cache=self.key_cache
         ):
-            if starts.size > 1:
-                lens = np.diff(starts)
-                anchors = np.repeat(members[starts[:-1]], lens - 1)
-                head_mask = np.zeros(members.size, dtype=bool)
-                head_mask[starts[:-1]] = True
-                cuf.union_edges(anchors, members[~head_mask])
-            inserts += int(rids.size)
+            merger.union_edges(*csr_edges(members, starts))
         if counters is not None:
-            counters.table_inserts += inserts
-        return [rids[part] for part in cuf.clusters()]
+            counters.table_inserts += int(rids.size) * self.scheme.table_count
+        return canonical_clusters(rids, merger.labels())

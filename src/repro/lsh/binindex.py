@@ -1,21 +1,16 @@
 """Persistent per-(level, table) bin index: CSR collision groups from
 u64-fingerprint grouping, plus delta candidate generation for streams.
 
-:meth:`~repro.lsh.scheme.HashingScheme.iter_table_collisions` re-sorts
-every record's packed key bytes for every table at every level on every
-``run``/``refine`` — an O(tables · m · key_bytes) memcmp argsort that
-dominates once the hash values themselves are incremental (Property 4).
-This module makes the bucket *structure* incremental too:
+Hash values are incremental across the function sequence (Property 4);
+this module makes the bucket *structure* incremental too:
 
 * **Fingerprint grouping** — each (record, table) key row is mixed to
   one ``uint64`` fingerprint (splitmix64 over the key's big-endian
   words).  Grouping then argsorts 8-byte integers instead of
   memcmp-sorting 20-100-byte keys, and only rows inside multi-member
-  fingerprint runs are touched byte-wise again.  A byte-exact tie-break
-  pass inside fingerprint-equal runs plus a final representative
-  reorder keep the emitted collision groups bit-identical — content
-  *and* yield order — to the legacy void-argsort path (the yield order
-  matters: it is the union order seen by the parent-pointer forest).
+  fingerprint runs are touched byte-wise again: a byte-exact tie-break
+  inside fingerprint-equal runs splits the (rare) runs that hold more
+  than one distinct key, so every group is exactly one bucket.
 * **CSR output** — groups come back as ``(members, starts)`` arrays,
   not a Python list of per-bucket arrays, so the consumer unions whole
   edge arrays per table instead of looping bucket by bucket.
@@ -33,20 +28,16 @@ This module makes the bucket *structure* incremental too:
 
 Byte comparisons ride on one invariant: key bytes interpreted as
 big-endian ``uint64`` words (zero-padded at the tail) compare, word
-tuple against word tuple, exactly like ``memcmp`` on the raw bytes —
-so ``np.lexsort`` over the word columns reproduces the legacy
-byte-lexicographic order.
+tuple against word tuple, exactly like ``memcmp`` on the raw bytes.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable, Iterator
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from ..errors import ConfigurationError
 from ..kernels.reference import _splitmix64
 from ..obs.clock import monotonic
 from ..types import AnyArray, BoolArray, IntArray
@@ -57,15 +48,9 @@ if TYPE_CHECKING:
     from .keycache import LevelEntry
     from .scheme import HashingScheme
 
-#: Environment variable consulted when ``AdaptiveConfig.bin_index`` is
-#: ``None``; the CLI's ``--no-bin-index`` flag sets it so the knob
-#: reaches every component without threading a parameter through each
-#: call site (same pattern as ``REPRO_PAIR_MEMO``).
-BIN_INDEX_ENV = "REPRO_BIN_INDEX"
-
-#: Default cap on total index bytes (fingerprint matrices plus delta
-#: arrays) per method instance; structures that would exceed it degrade
-#: to pass-through like the key cache.
+#: Default byte budget per method instance.  A level whose fingerprint
+#: matrix would exceed it degrades to pass-through like the key cache;
+#: delta-index arrays are never refused but count against it.
 DEFAULT_MAX_BYTES = 128 << 20
 
 #: One CSR table: ``members`` concatenates the row positions of every
@@ -74,26 +59,6 @@ CsrGroups = tuple[IntArray, IntArray]
 
 #: Lazily fetched packed key rows plus their per-table byte layout.
 RowsFn = Callable[[], tuple[AnyArray, list[tuple[int, int]]]]
-
-
-def resolve_bin_index(flag: bool | None = None) -> bool:
-    """Resolve the ``bin_index`` knob to a concrete on/off decision.
-
-    ``None`` falls back to the ``REPRO_BIN_INDEX`` environment variable
-    and to *enabled* when that is unset.
-    """
-    if flag is not None:
-        return bool(flag)
-    raw = os.environ.get(BIN_INDEX_ENV, "").strip().lower()
-    if not raw:
-        return True
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    if raw in ("0", "false", "no", "off"):
-        return False
-    raise ConfigurationError(
-        f"{BIN_INDEX_ENV} must be a boolean flag (0/1), got {raw!r}"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -115,8 +80,8 @@ def strided_key_words(rows: AnyArray, offset: int, nbytes: int) -> AnyArray:
     """Big-endian ``uint64`` words of ``rows[:, offset:offset+nbytes]``.
 
     Accumulates the slice column by column, so a table's span of a
-    cached key-row matrix feeds the fingerprint mix without the
-    per-table contiguous copy the legacy grouping path makes.
+    cached key-row matrix feeds the fingerprint mix without a
+    per-table contiguous copy.
     """
     words = np.zeros((rows.shape[0], (nbytes + 7) // 8), dtype=np.uint64)
     for b in range(nbytes):
@@ -163,10 +128,8 @@ def group_table(
     given row positions; it is called once, with only the rows that sit
     inside multi-member fingerprint runs (the collision candidates).
 
-    The output is bit-identical — group content *and* emission order —
-    to the legacy void-argsort grouping: groups are >= 2 rows sharing
-    the exact key bytes, emitted in byte-lexicographic key order, with
-    members in ascending row position.
+    Groups are the >= 2-row sets sharing the exact key bytes, members
+    in ascending row position; group order carries no meaning.
     """
     m = int(fps.size)
     if m < 2:
@@ -215,38 +178,35 @@ def group_table(
         change[1:] = (run_id[1:] != run_id[:-1]) | (
             (words[1:] != words[:-1]).any(axis=1)
         )
-    g_starts = np.nonzero(change)[0].astype(np.int64, copy=False)
-    g_ends = np.append(g_starts[1:], total)
-    keep = (g_ends - g_starts) >= 2
+    lens = np.diff(np.append(np.nonzero(change)[0], total))
+    keep = lens >= 2
     if not bool(keep.any()):
         return _empty_csr()
-    g_starts = g_starts[keep]
-    g_ends = g_ends[keep]
-    if g_starts.size > 1:
-        # The legacy path emits buckets in byte-lexicographic key
-        # order; fingerprint runs are ordered by fingerprint instead,
-        # so reorder the kept groups by their (distinct) representative
-        # key words.
-        rep_order = np.lexsort(words[g_starts].T[::-1])
-        g_starts = g_starts[rep_order]
-        g_ends = g_ends[rep_order]
-    lens = g_ends - g_starts
-    starts = np.zeros(lens.size + 1, dtype=np.int64)
-    np.cumsum(lens, out=starts[1:])
-    pos = (
-        np.arange(int(starts[-1]), dtype=np.int64)
-        - np.repeat(starts[:-1], lens)
-        + np.repeat(g_starts, lens)
-    )
-    return cand[pos], starts
+    starts = np.zeros(int(keep.sum()) + 1, dtype=np.int64)
+    np.cumsum(lens[keep], out=starts[1:])
+    return cand[np.repeat(keep, lens)], starts
 
 
-def csr_to_groups(members: IntArray, starts: IntArray) -> list[IntArray]:
-    """Explode CSR groups to the legacy list-of-arrays shape (tests)."""
-    return [
-        members[int(starts[i]) : int(starts[i + 1])]
-        for i in range(starts.size - 1)
-    ]
+def csr_edges(members: IntArray, starts: IntArray) -> tuple[IntArray, IntArray]:
+    """Spanning edges of CSR groups: each group's head joined to every
+    other member (``len(group) - 1`` edges per group)."""
+    lens = np.diff(starts)
+    heads = np.zeros(members.size, dtype=bool)
+    heads[starts[:-1]] = True
+    return np.repeat(members[starts[:-1]], lens - 1), members[~heads]
+
+
+def _words_fn(
+    rows_fn: RowsFn, offset: int, nbytes: int
+) -> Callable[[IntArray], AnyArray]:
+    """``words_of`` for :func:`group_table`: one table's key words of
+    the given row positions, read from the lazily fetched key rows."""
+
+    def words_of(positions: IntArray) -> AnyArray:
+        rows, _ = rows_fn()
+        return pack_key_words(rows[positions, offset : offset + nbytes])
+
+    return words_of
 
 
 # ----------------------------------------------------------------------
@@ -339,13 +299,8 @@ class LevelBins:
         rids: IntArray,
         key_cache: LevelEntry | None = None,
     ) -> Iterator[CsrGroups]:
-        """Yield each table's CSR collision groups for ``rids``.
-
-        Group content and yield order are bit-identical to
-        :meth:`~repro.lsh.scheme.HashingScheme.iter_table_collisions`
-        over the same rows; only the representation (CSR instead of a
-        list of arrays) and the work profile differ.
-        """
+        """Yield each table's CSR collision groups for ``rids``, one
+        ``(members, starts)`` pair per table in layout order."""
         rids = np.asarray(rids, dtype=np.int64)
         owner = self._owner
         obs = owner.observer
@@ -356,28 +311,9 @@ class LevelBins:
         for t, (offset, nbytes) in enumerate(self.layout):
             if timed:
                 started = monotonic()
-            packed = [0]
-
-            def words_of(
-                positions: IntArray,
-                _offset: int = offset,
-                _nbytes: int = nbytes,
-                _packed: list[int] = packed,
-            ) -> AnyArray:
-                rows, _ = rows_fn()
-                _packed[0] += int(positions.size) * _nbytes
-                return pack_key_words(
-                    rows[positions, _offset : _offset + _nbytes]
-                )
-
-            members, starts = group_table(fps[:, t], words_of)
-            if key_cache is not None:
-                # The legacy path copies every row of this table's span
-                # through np.ascontiguousarray; the fingerprint path
-                # only packed the collision candidates.
-                saved = int(rids.size) * nbytes - packed[0]
-                if saved > 0:
-                    key_cache.record_saved(saved)
+            members, starts = group_table(
+                fps[:, t], _words_fn(rows_fn, offset, nbytes)
+            )
             owner.record_group(int(rids.size), int(starts.size - 1))
             if timed:
                 assert obs is not None
@@ -402,6 +338,9 @@ class SchemeBinIndex:
         self, n_records: int, max_bytes: int = DEFAULT_MAX_BYTES
     ) -> None:
         self.n_records = int(n_records)
+        #: Byte budget: a fingerprint matrix is stored only while it
+        #: fits; the delta index's arrays are always admitted but count
+        #: against it (:meth:`charge`), so optional caches yield to them.
         self.max_bytes = int(max_bytes)
         self._reserved = 0
         self._levels: dict[int, LevelBins] = {}
@@ -417,7 +356,7 @@ class SchemeBinIndex:
         self.delta_rows = 0
         self.delta_pairs = 0
         self.delta_buckets = 0
-        #: Structures that fell back to pass-through (or dict tables)
+        #: Levels whose fingerprint matrix fell back to pass-through
         #: because the byte budget was exhausted.
         self.degraded = 0
 
@@ -434,27 +373,21 @@ class SchemeBinIndex:
         self._reserved += nbytes
         return True
 
+    def charge(self, nbytes: int) -> None:
+        """Claim ``nbytes`` unconditionally (delta-index arrays)."""
+        self._reserved += nbytes
+
     @property
     def indexed_bytes(self) -> int:
+        """Fingerprint-matrix plus delta-array bytes."""
         return self._reserved
 
     def h1_delta(
-        self,
-        scheme: HashingScheme,
-        key_cache: LevelEntry | None,
-        state: dict[str, Any] | None = None,
-    ) -> H1DeltaIndex | None:
-        """A first-level delta index, optionally warm-started from a
-        prior index's :meth:`H1DeltaIndex.export_state`.
-
-        Returns ``None`` when a carried state cannot be adopted (table
-        layout changed, or its arrays exceed the byte budget) — the
-        caller then rebuilds from scratch, which is always correct.
-        """
-        delta = H1DeltaIndex(self, scheme, self.level(1), key_cache)
-        if state is not None and not delta.adopt_state(state):
-            return None
-        return delta
+        self, scheme: HashingScheme, key_cache: LevelEntry | None
+    ) -> H1DeltaIndex:
+        """An empty first-level delta index over this index's level-1
+        fingerprints; warm-start it with :meth:`H1DeltaIndex.adopt_state`."""
+        return H1DeltaIndex(self, scheme, self.level(1), key_cache)
 
     def record_fp(self, hits: int, misses: int) -> None:
         self.fp_hits += hits
@@ -514,14 +447,14 @@ class H1DeltaIndex:
     """Persistent sorted ``(fingerprint, rid)`` arrays for the first
     level's tables, with delta candidate-pair emission per insert batch.
 
-    The dict-table streaming front-end it replaces maintains one
-    invariant: records sharing a table's exact bucket key are connected
-    in the union-find.  The delta index maintains the same invariant —
-    batch-internal groups are byte-verified through
-    :func:`group_table`, and matches against existing buckets are
-    byte-verified against the bucket head (with a rare full-run scan
-    when 64-bit fingerprints collide) — so the resulting partition, and
-    therefore every downstream coarse cluster and refine, is identical.
+    Invariant: records sharing a table's exact bucket key are connected
+    in the caller's union-find.  Batch-internal groups are
+    byte-verified through :func:`group_table`, and matches against
+    existing buckets are byte-verified against the bucket head (with a
+    rare full-run scan when 64-bit fingerprints collide), so the
+    partition equals the ``H_1`` bucket partition of every record
+    inserted so far.  The sorted arrays take 16 bytes per record and
+    table.
     """
 
     def __init__(
@@ -564,31 +497,23 @@ class H1DeltaIndex:
 
     def adopt_state(self, state: dict[str, Any]) -> bool:
         """Adopt a prior index's arrays; ``False`` leaves this index
-        empty (layout mismatch or byte budget exhausted)."""
+        empty (table layout mismatch)."""
         if int(state["table_count"]) != self._scheme.table_count:
             return False
         fps = [np.asarray(fp, dtype=np.uint64) for fp in state["fps"]]
         rids = [np.asarray(rid, dtype=np.int64) for rid in state["rids"]]
         if len(fps) != self._scheme.table_count or len(fps) != len(rids):
             return False
-        nbytes = sum(fp.size for fp in fps) * 16
-        if not self._owner.reserve(nbytes):
-            self._owner.degraded += 1
-            return False
+        self._owner.charge(sum(fp.size for fp in fps) * 16)
         self._fps = fps
         self._rids = rids
         return True
 
-    def insert(self, rids: IntArray, uf: UnionFind) -> bool:
-        """Merge-insert a batch and union its delta candidate pairs.
-
-        Returns ``False`` — with no state mutated — when the byte
-        budget cannot cover the batch; the caller falls back to plain
-        dict tables (see ``StreamingTopK._fallback_to_tables``).
-        """
+    def insert(self, rids: IntArray, uf: UnionFind) -> None:
+        """Merge-insert a batch and union its delta candidate pairs."""
         rids = np.asarray(rids, dtype=np.int64)
         if rids.size == 0:
-            return True
+            return
         fps, rows_fn = self._bins.fingerprints(
             self._scheme, rids, self._key_cache
         )
@@ -601,9 +526,7 @@ class H1DeltaIndex:
             self._rids = [
                 np.empty(0, dtype=np.int64) for _ in range(len(layout))
             ]
-        if not self._owner.reserve(int(rids.size) * len(layout) * 16):
-            self._owner.degraded += 1
-            return False
+        self._owner.charge(int(rids.size) * len(layout) * 16)
         pairs = 0
         buckets = 0
         for t, (offset, nbytes) in enumerate(layout):
@@ -612,28 +535,13 @@ class H1DeltaIndex:
             order = np.argsort(fp, kind="stable").astype(np.int64, copy=False)
             sfp = fp[order]
             srid = rids[order]
-
-            def words_of(
-                positions: IntArray,
-                _offset: int = offset,
-                _nbytes: int = nbytes,
-            ) -> AnyArray:
-                rows, _ = rows_fn()
-                return pack_key_words(
-                    rows[positions, _offset : _offset + _nbytes]
-                )
-
+            words_of = _words_fn(rows_fn, offset, nbytes)
             # Batch-internal candidate pairs (byte-verified groups).
             members, starts = group_table(fp, words_of)
-            if starts.size > 1:
-                lens = np.diff(starts)
-                anchors = np.repeat(members[starts[:-1]], lens - 1)
-                head_mask = np.zeros(members.size, dtype=bool)
-                head_mask[starts[:-1]] = True
-                others = members[~head_mask]
-                uf.union_edges(rids[anchors], rids[others])
-                pairs += int(others.size)
-                buckets += int(starts.size - 1)
+            anchors, others = csr_edges(members, starts)
+            uf.union_edges(rids[anchors], rids[others])
+            pairs += int(others.size)
+            buckets += int(starts.size - 1)
             # Delta pairs against existing buckets: every new row whose
             # fingerprint hits an existing run is byte-verified against
             # the run head; mismatches scan the run (real fingerprint
@@ -678,4 +586,3 @@ class H1DeltaIndex:
         self._owner.record_delta(
             int(rids.size) * len(layout), pairs, buckets
         )
-        return True

@@ -11,10 +11,10 @@ hashed at that level (incremental re-runs, :meth:`refine`, repeated
 recomputing them.
 
 Correctness rests on two facts: pool columns are deterministic per
-column index (columnar-determinism contract), and the byte-level
-grouping in :meth:`~repro.lsh.scheme.HashingScheme.iter_table_collisions`
-compares exactly these packed bytes — so cached and freshly computed
-rows are indistinguishable, bit for bit.
+column index (columnar-determinism contract), and the fingerprint
+grouping of :mod:`repro.lsh.binindex` reads exactly these packed bytes
+— so cached and freshly computed rows are indistinguishable, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -83,10 +83,6 @@ class LevelEntry:
         cache.record(int(known.sum()), int(missing.size))
         return self._data[rids], self.layout
 
-    def record_saved(self, nbytes: int) -> None:
-        """Forward copy-avoidance accounting to the shared cache."""
-        self._cache.record_saved(nbytes)
-
 
 class LevelKeyCache:
     """All levels' :class:`LevelEntry` objects plus shared accounting."""
@@ -101,9 +97,6 @@ class LevelKeyCache:
         #: Records served from / added to the cache (work counters).
         self.hits = 0
         self.misses = 0
-        #: Key bytes consumers read in place (fingerprint path) that
-        #: the legacy grouping path would have copied per table.
-        self.bytes_saved = 0
         #: Optional :class:`~repro.obs.observer.RunObserver`; when set
         #: and enabled, lookups feed ``sigcache.*`` counters.
         self.observer: RunObserver | None = None
@@ -135,14 +128,6 @@ class LevelKeyCache:
             if misses:
                 obs.counter("sigcache.misses").inc(misses)
 
-    def record_saved(self, nbytes: int) -> None:
-        """Count cached key bytes served without the per-table
-        contiguous copy (:mod:`repro.lsh.binindex` fingerprint path)."""
-        self.bytes_saved += int(nbytes)
-        obs = self.observer
-        if obs is not None and obs.enabled and nbytes:
-            obs.counter("sigcache.bytes_saved").inc(int(nbytes))
-
     def stats(self) -> dict[str, Any]:
         """Cache summary for run reports."""
         return {
@@ -150,5 +135,4 @@ class LevelKeyCache:
             "bytes": int(self._reserved),
             "hits": int(self.hits),
             "misses": int(self.misses),
-            "bytes_saved": int(self.bytes_saved),
         }

@@ -19,18 +19,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..obs.clock import monotonic
-from ..types import AnyArray, ArrayLike, IntArray
+from ..types import AnyArray, ArrayLike
 from .families import SignaturePool
-
-if TYPE_CHECKING:
-    from ..obs.observer import RunObserver
-    from .keycache import LevelEntry
 
 
 @dataclass(frozen=True)
@@ -95,6 +90,11 @@ class HashingScheme:
     def table_count(self) -> int:
         return sum(g.z for g in self.groups)
 
+    @property
+    def n_records(self) -> int:
+        """Records addressable through this scheme's pools."""
+        return len(self.groups[0].uses[0].pool)
+
     def layout_spec(self) -> list[dict[str, Any]]:
         """JSON-friendly structural description of this scheme.
 
@@ -112,83 +112,6 @@ class HashingScheme:
             }
             for group in self.groups
         ]
-
-    def iter_table_keys(self, rids: ArrayLike) -> Iterator[list[bytes]]:
-        """Yield, for every table of every group, the per-record bucket
-        keys (as ``bytes``) for the records in ``rids``.
-
-        Signatures are fetched once per (group, pool) and sliced per
-        table, so pool extension cost is paid exactly once.  The packed
-        row representation (:meth:`table_key_rows`) is serialized with
-        one ``tobytes`` call per table and byte-sliced per record —
-        the per-row ``tobytes`` loop this replaces dominated streaming
-        ingest for wide schemes.
-        """
-        rows, layout = self.table_key_rows(rids)
-        for offset, nbytes in layout:
-            buf = rows[:, offset : offset + nbytes].tobytes()
-            yield [buf[i : i + nbytes] for i in range(0, len(buf), nbytes)]
-
-    def iter_table_collisions(
-        self,
-        rids: ArrayLike,
-        observer: RunObserver | None = None,
-        key_cache: LevelEntry | None = None,
-    ) -> Iterator[list[IntArray]]:
-        """Yield, for every table, the bucket collision groups: arrays of
-        *row positions* (indices into ``rids``) that share a bucket.
-
-        Grouping is done with vectorized sorting rather than per-row
-        dictionary inserts — the difference between O(m·z) Python-level
-        work and z NumPy passes, which dominates deep-sequence
-        functions and large LSH-X budgets.
-
-        ``observer`` (an enabled
-        :class:`~repro.obs.observer.RunObserver`) adds per-table
-        grouping time and collision-group counts to the run metrics.
-
-        ``key_cache`` (a :class:`~repro.lsh.keycache.LevelEntry`) serves
-        each record's packed key row from cache when available.  Cached
-        rows are the same raw bytes the uncached path groups on, so
-        collision groups — content *and* yield order — are identical.
-        """
-        timed = observer is not None and observer.enabled
-        started = 0.0
-        blocks: Iterable[AnyArray]
-        if key_cache is not None:
-            rows, layout = key_cache.rows(
-                self, np.asarray(rids, dtype=np.int64)
-            )
-            blocks = (
-                np.ascontiguousarray(rows[:, off : off + nbytes])
-                for off, nbytes in layout
-            )
-        else:
-            blocks = self._iter_table_blocks(rids)
-        for block in blocks:
-            if timed:
-                started = monotonic()
-            void = block.view(
-                np.dtype((np.void, block.dtype.itemsize * block.shape[1]))
-            ).ravel()
-            order = np.argsort(void, kind="stable")
-            sorted_keys = void[order]
-            change = np.empty(order.size, dtype=bool)
-            change[0] = True
-            change[1:] = sorted_keys[1:] != sorted_keys[:-1]
-            starts = np.nonzero(change)[0]
-            ends = np.r_[starts[1:], order.size]
-            groups = [
-                order[s:e] for s, e in zip(starts, ends) if e - s >= 2
-            ]
-            if timed:
-                assert observer is not None
-                observer.histogram("scheme.table_group_seconds").observe(
-                    monotonic() - started
-                )
-                observer.counter("scheme.tables_processed").inc()
-                observer.counter("scheme.collision_groups").inc(len(groups))
-            yield groups
 
     def table_key_rows(
         self, rids: ArrayLike

@@ -15,20 +15,13 @@ because the wrapped method's
 :class:`~repro.core.pairmemo.PairVerdictMemo` lives across refines —
 pairs verified by one query are never re-evaluated by the next.
 
-Two interchangeable ``H_1`` table backends maintain the coarse
-partition (records sharing a bucket key are connected):
-
-* the **delta index** (:class:`~repro.lsh.binindex.H1DeltaIndex`, used
-  when the method's bin index is on) keeps per-table sorted
-  ``(fingerprint, rid)`` arrays and emits candidate pairs from touched
-  buckets only.  Its state is exportable: a successor stream over an
-  extended store adopts it (:class:`StreamCarry`) and ingests just the
-  new records instead of re-grouping everything;
-* plain per-table ``dict[bytes, int]`` maps (bin index off, or byte
-  budget exhausted) — the original backend, kept as the fallback.
-
-Both maintain the identical partition, so coarse clusters and every
-downstream refine are bit-identical across backends.
+The ``H_1`` delta index (:class:`~repro.lsh.binindex.H1DeltaIndex`)
+maintains the coarse partition (records sharing a bucket key are
+connected): it keeps per-table sorted ``(fingerprint, rid)`` arrays and
+emits candidate pairs from touched buckets only.  Its state is
+exportable: a successor stream over an extended store adopts it
+(:class:`StreamCarry`) and ingests just the new records instead of
+re-grouping everything.
 
 Storage note: records live in a regular :class:`RecordStore` created up
 front; "arrival" is the ``insert`` call.  This decouples stream order
@@ -51,7 +44,7 @@ from ..errors import ConfigurationError
 from ..lsh.binindex import H1DeltaIndex
 from ..obs.observer import RunObserver
 from ..records import RecordStore
-from ..structures.union_find import UnionFind
+from ..structures.union_find import UnionFind, canonical_clusters
 from ..types import ArrayLike, BoolArray, IntArray
 
 
@@ -117,8 +110,7 @@ class StreamingTopK:
         self.store = store
         self._uf = UnionFind(len(store))
         self._inserted = np.zeros(len(store), dtype=bool)
-        self._tables: list[dict[bytes, int]] | None = None
-        self._delta: H1DeltaIndex | None = None
+        self._delta: H1DeltaIndex
         self._ready = False
         #: True when a ``carry=`` state was adopted — the caller only
         #: needs to insert records beyond ``carry.n_records``.
@@ -128,7 +120,7 @@ class StreamingTopK:
                 raise ConfigurationError(
                     "carry state covers more records than the store holds"
                 )
-            self._adopt_carry(carry)
+            self._ensure_ready(carry)
 
     @property
     def n_seen(self) -> int:
@@ -140,64 +132,39 @@ class StreamingTopK:
         return self._adaptive
 
     @property
-    def delta_index(self) -> H1DeltaIndex | None:
-        """The active ``H_1`` delta index, or ``None`` on the dict
-        backend (bin index off, or degraded past its byte budget)."""
+    def delta_index(self) -> H1DeltaIndex:
+        """The ``H_1`` delta index (prepares the method on first use)."""
+        self._ensure_ready()
         return self._delta
 
-    def _ensure_ready(self) -> None:
+    def _ensure_ready(self, carry: StreamCarry | None = None) -> None:
+        """Prepare the method and open the ``H_1`` delta index.
+
+        ``carry`` adopts a predecessor's partition and delta-index
+        state; when its table layout does not match this method's
+        ``H_1``, ``carried`` stays False and the caller re-inserts
+        everything, which is always correct.
+        """
         if self._ready:
             return
         self._adaptive.prepare()
         self._h1 = self._adaptive._functions[0]
-        owner = self._adaptive.bin_index
-        if owner is not None:
-            self._delta = owner.h1_delta(
-                self._h1.scheme, self._h1.key_cache
-            )
-        if self._delta is None:
-            self._tables = [
-                dict() for _ in range(self._h1.scheme.table_count)
-            ]
-        self._ready = True
-
-    def _adopt_carry(self, carry: StreamCarry) -> None:
-        """Adopt a predecessor's partition and delta-index state.
-
-        Falls back to a cold start (``carried`` stays False) when the
-        method has no bin index or the carried arrays do not fit the
-        byte budget — the caller then re-inserts everything, which is
-        the pre-carry behaviour and always correct.
-        """
-        self._adaptive.prepare()
-        self._h1 = self._adaptive._functions[0]
-        owner = self._adaptive.bin_index
-        delta = (
-            owner.h1_delta(
-                self._h1.scheme, self._h1.key_cache, state=carry.h1_state
-            )
-            if owner is not None
-            else None
+        self._delta = self._adaptive.bin_index.h1_delta(
+            self._h1.scheme, self._h1.key_cache
         )
-        if delta is None:
-            self._tables = [
-                dict() for _ in range(self._h1.scheme.table_count)
-            ]
-            self._ready = True
-            return
-        self._delta = delta
-        n_old = int(carry.n_records)
-        self._uf.parent[:n_old] = carry.parent
-        self._uf.size[:n_old] = carry.size
-        self._inserted[:n_old] = carry.inserted
-        self.carried = True
+        if carry is not None and self._delta.adopt_state(carry.h1_state):
+            n_old = int(carry.n_records)
+            self._uf.parent[:n_old] = carry.parent
+            self._uf.size[:n_old] = carry.size
+            self._inserted[:n_old] = carry.inserted
+            self.carried = True
         self._ready = True
 
     def carry_state(self) -> StreamCarry | None:
         """Exportable warm state for a successor stream, or ``None``
-        when the delta index is inactive (the successor then re-inserts
+        before the stream is ready (the successor then re-inserts
         everything)."""
-        if not self._ready or self._delta is None:
+        if not self._ready:
             return None
         return StreamCarry(
             n_records=len(self.store),
@@ -226,79 +193,16 @@ class StreamingTopK:
         self._ingest(fresh)
 
     def _ingest(self, fresh: IntArray) -> None:
-        if self._delta is not None:
-            if self._delta.insert(fresh, self._uf):
-                self._inserted[fresh] = True
-                return
-            self._fallback_to_tables()
+        self._delta.insert(fresh, self._uf)
         self._inserted[fresh] = True
-        tables = self._tables
-        assert tables is not None
-        for table, keys in zip(
-            tables, self._h1.scheme.iter_table_keys(fresh)
-        ):
-            for rid_raw, key in zip(fresh, keys):
-                rid = int(rid_raw)
-                prev = table.get(key)
-                if prev is not None:
-                    self._uf.union(rid, prev)
-                table[key] = rid
-
-    def _fallback_to_tables(self) -> None:
-        """The delta index ran out of byte budget: rebuild plain dict
-        tables from the records inserted so far.
-
-        Partition-equivalent by the bucket invariant — every same-key
-        group is already fully unioned, so any member may serve as the
-        bucket representative for future arrivals.
-        """
-        self._delta = None
-        tables: list[dict[bytes, int]] = [
-            dict() for _ in range(self._h1.scheme.table_count)
-        ]
-        seen = np.nonzero(self._inserted)[0].astype(np.int64)
-        if seen.size:
-            for table, keys in zip(
-                tables, self._h1.scheme.iter_table_keys(seen)
-            ):
-                for rid_raw, key in zip(seen.tolist(), keys):
-                    table[key] = rid_raw
-        self._tables = tables
 
     # ------------------------------------------------------------------
     def current_clusters(self) -> list[IntArray]:
-        """Coarse (H_1-level) clusters of the records seen so far.
-
-        A pure function of the partition: groups are listed by first
-        occurrence (ascending smallest member), members ascending, then
-        stably sorted by size descending — matching the original
-        dict-accumulation loop bit for bit without per-record ``find``
-        calls.
-        """
+        """Coarse (H_1-level) clusters of the records seen so far:
+        canonical order (members ascending, clusters by smallest
+        member), then stably sorted by size descending."""
         seen = np.nonzero(self._inserted)[0].astype(np.int64)
-        if seen.size == 0:
-            return []
-        parent = self._uf.parent
-        roots = parent[seen]
-        while True:
-            hop = parent[roots]
-            if np.array_equal(hop, roots):
-                break
-            roots = hop
-        uniq, inverse = np.unique(roots, return_inverse=True)
-        first_pos = np.full(uniq.size, seen.size, dtype=np.int64)
-        np.minimum.at(
-            first_pos, inverse, np.arange(seen.size, dtype=np.int64)
-        )
-        emit_order = np.argsort(first_pos, kind="stable")
-        member_order = np.argsort(inverse, kind="stable")
-        members = seen[member_order]
-        bounds = np.zeros(uniq.size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(inverse, minlength=uniq.size), out=bounds[1:])
-        clusters = [
-            members[int(bounds[g]) : int(bounds[g + 1])]
-            for g in emit_order.tolist()
-        ]
+        clusters = canonical_clusters(seen, self._uf.labels()[seen])
         clusters.sort(key=lambda c: int(c.size), reverse=True)
         return clusters
 

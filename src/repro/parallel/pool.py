@@ -277,10 +277,9 @@ class ExecutionPool:
         earlier rows, fanned across workers.
 
         Returns ``[(block_start, intra_i, intra_j, cross_i, cross_j),
-        ...]`` in ascending block order — each edge list in the serial
-        ``np.nonzero`` enumeration order — so the caller can replay
-        unions exactly as the serial blocked strategy would.  ``None``
-        means below threshold; caller should run serially.
+        ...]`` in ascending block order, the shape of the serial
+        blocked strategy's own block edges.  ``None`` means below
+        threshold; caller should run serially.
         """
         m = int(rids.size)
         if self.serial or m < self.min_pairwise_rows or m <= block_size:

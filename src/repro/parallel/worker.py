@@ -146,10 +146,8 @@ def pairwise_block_task(
 ) -> tuple[IntArray, IntArray, IntArray, IntArray, float]:
     """Match one row-block: intra-block and block-vs-earlier edges.
 
-    Returns edge index pairs in exactly the order the serial blocked
-    strategy enumerates them (``np.nonzero`` row-major order), so the
-    parent can replay unions block by block and reproduce the serial
-    forest bit for bit.  ``kernels`` carries the parent's backend
+    Returns the block's match edges as index pairs, exactly the edges
+    the serial blocked strategy finds for it.  ``kernels`` carries the parent's backend
     selection across the process boundary (ambient context variables do
     not); backends are bit-identical, so it only affects speed.
     """
@@ -178,9 +176,8 @@ def evaluate_block_jobs(
     ``pair_rids`` is evaluated all-pairs (upper-triangle edges);
     each ``(rids_a, rids_b)`` rectangle in ``rects`` is evaluated with
     ``match_block`` (the memo-mask metadata computed by the parent's
-    block plan).  Returns match edges in *job-local* coordinates, each
-    list in ``np.nonzero`` row-major order; the parent maps them back
-    through the plan's (sorted, hence order-preserving) index arrays.
+    block plan).  Returns match edges in *job-local* coordinates; the
+    parent maps them back through the plan's index arrays.
 
     Takes the store explicitly so the serial memo path shares this
     exact evaluation with the worker task.

@@ -173,14 +173,13 @@ class ResolverSession:
 
     def serving_stats(self) -> dict[str, Any]:
         """Session counters: queries answered, cache hits, warm/cold."""
-        bin_index = self._method.bin_index
         return {
             "queries": self._queries,
             "cache_hits": self._cache_hits,
             "warm_start": self._method.warm_started,
             "store_version": self.store_version,
             "cached_results": len(self._cache),
-            "bin_index": bin_index.stats() if bin_index is not None else None,
+            "bin_index": self._method.bin_index.stats(),
         }
 
     # ------------------------------------------------------------------
@@ -251,9 +250,8 @@ class ResolverSession:
         :class:`~repro.online.StreamingTopK` front-end whose refine
         loop shares the restored pools.
 
-        Streaming state is carried too: when the previous front-end ran
-        on the ``H_1`` delta index, its partition and sorted bucket
-        arrays transfer (:meth:`~repro.online.StreamingTopK.carry_state`)
+        Streaming state is carried too: the previous front-end's
+        partition and ``H_1`` delta-index arrays transfer (:meth:`~repro.online.StreamingTopK.carry_state`)
         and only the *new* records are ingested — delta candidate pairs
         come from touched buckets instead of a full re-group.
         """

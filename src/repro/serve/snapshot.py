@@ -27,6 +27,7 @@ versions it does not know (no silent best-effort reads).  See
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from typing import Any
 
@@ -151,10 +152,32 @@ class IndexSnapshot:
 
     # ------------------------------------------------------------------
     def save(self, path: Any) -> None:
-        """Write the snapshot as one compressed ``.npz`` file."""
-        np.savez_compressed(
-            path, header=pack_json_header(self.header), **self.arrays
-        )
+        """Write the snapshot as one compressed ``.npz`` file.
+
+        The write is atomic: the archive goes to a temporary file beside
+        the target and is renamed over it only once complete, so a save
+        that fails midway leaves any previous snapshot at ``path``
+        loadable.  As with ``np.savez``, a path without the ``.npz``
+        suffix gets it appended.
+        """
+        target = os.fspath(path)
+        if not target.endswith(".npz"):
+            target += ".npz"
+        tmp = target + ".tmp"
+        try:
+            # Through an open handle: given a path, savez would append
+            # ".npz" to the temporary name.
+            with open(tmp, "wb") as handle:
+                np.savez_compressed(
+                    handle, header=pack_json_header(self.header), **self.arrays
+                )
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, target)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
     @classmethod
     def load(cls, path: Any) -> IndexSnapshot:

@@ -3,7 +3,7 @@ log-size bin index used for Largest-First cluster selection."""
 
 from .bin_index import BinIndex
 from .parent_pointer_tree import Leaf, Node, ParentPointerForest
-from .union_find import ClusterUnionFind, UnionFind
+from .union_find import ClusterUnionFind, UnionFind, canonical_clusters
 
 __all__ = [
     "ParentPointerForest",
@@ -12,4 +12,5 @@ __all__ = [
     "BinIndex",
     "UnionFind",
     "ClusterUnionFind",
+    "canonical_clusters",
 ]

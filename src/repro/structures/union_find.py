@@ -1,26 +1,51 @@
-"""Disjoint-set union over dense integer ids.
+"""Disjoint-set union over dense integer ids, and the canonical cluster
+order every cluster producer emits.
 
-:class:`UnionFind` is the plain structure — not used by the adaptive
-algorithm itself (which uses the paper's parent-pointer trees), but
-handy as an independent implementation for cross-checking connected
-components in tests and for the simple transitive-closure ER stage.
+A transitive hashing function or the pairwise function outputs the
+connected components of a graph (paper Definition 1, App. B.2); nothing
+depends on the order of members inside a component.  Every producer
+therefore emits the one *canonical* order of :func:`canonical_clusters`:
+members by ascending record id, clusters by their smallest member.
 
-:class:`ClusterUnionFind` additionally threads a leaf chain through
-each component, mirroring the parent-pointer forest's merge rule
-exactly (larger side keeps its leaves first; on ties the first edge
-endpoint's tree stays left).  The blocked pairwise strategy uses it to
-union whole ``np.nonzero`` edge arrays per batch instead of walking
-them edge by edge at Python level, while producing byte-identical
-cluster arrays — same membership, same leaf order, same cluster
-emission order — as replaying the edges through
-:class:`~repro.structures.parent_pointer_tree.ParentPointerForest`.
+:class:`UnionFind` is the incremental structure: streaming ingest keeps
+one alive across insert batches, and the rowwise pairwise strategy
+consults it to skip already-connected candidates.
+:class:`ClusterUnionFind` is the batch structure: it buffers whole edge
+arrays and resolves them with one
+:func:`scipy.sparse.csgraph.connected_components` call.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from ..types import IntArray
+
+#: Buffered edges beyond which :class:`ClusterUnionFind` folds its
+#: buffer into one spanning edge per node, bounding its memory.
+_COMPACT_EDGES = 1 << 22
+
+
+def canonical_clusters(rids: IntArray, labels: IntArray) -> list[IntArray]:
+    """Group ``rids`` by component ``labels`` in the canonical order:
+    members ascending, clusters ordered by their smallest member."""
+    rids = np.asarray(rids, dtype=np.int64)
+    labels = np.asarray(labels)
+    if rids.size == 0:
+        return []
+    if rids.size > 1 and not bool((rids[1:] > rids[:-1]).all()):
+        by_rid = np.argsort(rids, kind="stable")
+        rids, labels = rids[by_rid], labels[by_rid]
+    # A stable sort keeps each component's members in ascending rid
+    # order, so a group's first member is its smallest.
+    order = np.argsort(labels, kind="stable")
+    grouped = labels[order]
+    cuts = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
+    groups = np.split(rids[order], cuts)
+    firsts = rids[order[np.r_[0, cuts]]]
+    return [groups[g] for g in np.argsort(firsts).tolist()]
 
 
 class UnionFind:
@@ -49,18 +74,27 @@ class UnionFind:
         return ra
 
     def union_edges(self, a: IntArray, b: IntArray) -> None:
-        """Union every edge ``(a[i], b[i])`` in enumeration order.
+        """Union every edge ``(a[i], b[i])``.
 
         Equivalent to ``for x, y in zip(a, b): self.union(x, y)`` but
         without per-edge NumPy scalar boxing — the arrays are unpacked
-        to native ints once and the sequential merges (inherently
-        order-dependent for tie-breaking) run over plain lists.
+        to native ints once.
         """
         for x, y in zip(a.tolist(), b.tolist()):
             self.union(x, y)
 
     def connected(self, a: int, b: int) -> bool:
         return self.find(a) == self.find(b)
+
+    def labels(self) -> IntArray:
+        """Every id's root, by vectorized pointer jumping (the parent
+        forest is left as it is)."""
+        roots = self.parent
+        while True:
+            hop = roots[roots]
+            if np.array_equal(hop, roots):
+                return hop
+            roots = hop
 
     def components(self) -> list[list[int]]:
         """All components as lists of member ids (unordered)."""
@@ -71,103 +105,50 @@ class UnionFind:
 
 
 class ClusterUnionFind:
-    """Union-find over ``0..n-1`` that tracks leaf chains per component.
+    """Batch union over ``0..n-1``: :meth:`union_edges` buffers edge
+    arrays, :meth:`labels` resolves them with one
+    ``connected_components`` call."""
 
-    Reproduces the observable behaviour of running the same union
-    sequence through a :class:`~repro.structures.parent_pointer_tree.
-    ParentPointerForest` seeded with ``make_singleton`` in id order:
-
-    * merging keeps the larger component's chain first; on equal sizes
-      the component of the edge's *first* endpoint stays first (the
-      forest swaps only on a strict ``root1.n_leaves < root2.n_leaves``);
-    * :meth:`clusters` emits components ordered by their first-created
-      member — i.e. by smallest id, matching ``roots()`` iteration over
-      insertion-ordered leaves — with members in chain order.
-
-    Internal state lives in Python lists rather than NumPy arrays: the
-    merge loop is sequential by nature (each union's tie-break depends
-    on sizes produced by earlier unions) and list indexing avoids the
-    scalar boxing that dominates per-edge array access.
-    """
-
-    __slots__ = ("_parent", "_size", "_head", "_tail", "_next")
+    __slots__ = ("n", "_a", "_b", "_pending")
 
     def __init__(self, n: int) -> None:
-        self._parent = list(range(n))
-        self._size = [1] * n
-        self._head = list(range(n))
-        self._tail = list(range(n))
-        self._next = [-1] * n
-
-    def find(self, x: int) -> int:
-        parent = self._parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        """Merge the components of ``a`` and ``b`` (no-op if same).
-
-        ``a`` plays the forest's ``find_root(r1)`` role: its component
-        stays left unless strictly smaller than ``b``'s.
-        """
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        size = self._size
-        if size[ra] < size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        size[ra] += size[rb]
-        self._next[self._tail[ra]] = self._head[rb]
-        self._tail[ra] = self._tail[rb]
+        self.n = int(n)
+        self._a: list[IntArray] = []
+        self._b: list[IntArray] = []
+        self._pending = 0
 
     def union_edges(self, a: IntArray, b: IntArray) -> None:
-        """Union every edge ``(a[i], b[i])`` in enumeration order."""
-        parent = self._parent
-        size = self._size
-        head = self._head
-        tail = self._tail
-        nxt = self._next
-        for x, y in zip(a.tolist(), b.tolist()):
-            ra = x
-            while parent[ra] != ra:
-                ra = parent[ra]
-            while parent[x] != ra:
-                parent[x], x = ra, parent[x]
-            rb = y
-            while parent[rb] != rb:
-                rb = parent[rb]
-            while parent[y] != rb:
-                parent[y], y = rb, parent[y]
-            if ra == rb:
-                continue
-            if size[ra] < size[rb]:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            size[ra] += size[rb]
-            nxt[tail[ra]] = head[rb]
-            tail[ra] = tail[rb]
+        """Add every edge ``(a[i], b[i])``; order is irrelevant."""
+        if a.size == 0:
+            return
+        self._a.append(np.asarray(a, dtype=np.int64))
+        self._b.append(np.asarray(b, dtype=np.int64))
+        self._pending += int(a.size)
+        if self._pending > _COMPACT_EDGES:
+            # Keep one edge per node to its component's smallest
+            # member: the same partition in O(n) memory.
+            labels = self.labels()
+            first = np.full(int(labels.max()) + 1, self.n, dtype=np.int64)
+            np.minimum.at(first, labels, np.arange(self.n, dtype=np.int64))
+            self._a = [np.arange(self.n, dtype=np.int64)]
+            self._b = [first[labels]]
+            self._pending = self.n
+
+    def labels(self) -> IntArray:
+        """Component label of every id."""
+        if not self._a:
+            return np.arange(self.n, dtype=np.int64)
+        a = np.concatenate(self._a)
+        b = np.concatenate(self._b)
+        graph = coo_matrix(
+            (np.ones(a.size), (a, b)), shape=(self.n, self.n)
+        )
+        _, labels = connected_components(graph, directed=False)
+        return np.asarray(labels, dtype=np.int64)
 
     def clusters(self) -> list[IntArray]:
-        """All components, ordered by first-created member, each as an
-        ``int64`` array of member ids in chain order."""
-        n = len(self._parent)
-        out: list[IntArray] = []
-        seen = [False] * n
-        nxt = self._next
-        for x in range(n):
-            root = self.find(x)
-            if seen[root]:
-                continue
-            seen[root] = True
-            members = np.empty(self._size[root], dtype=np.int64)
-            cur = self._head[root]
-            for i in range(self._size[root]):
-                members[i] = cur
-                cur = nxt[cur]
-            out.append(members)
-        return out
+        """All components in the canonical order (ids ascending within
+        a component, components by smallest id)."""
+        return canonical_clusters(
+            np.arange(self.n, dtype=np.int64), self.labels()
+        )

@@ -1,6 +1,7 @@
-"""End-to-end identity: final clusters are bit-identical with the bin
-index on and off, across kernel backends, worker counts, snapshot
-restore, streaming inserts, and serving-session store extensions."""
+"""End-to-end identity of the bin index: final clusters are the same
+with fingerprint storage on (default budget) and off (zero budget),
+across worker counts and kernel backends, through snapshot restore,
+streaming inserts, and serving-session store extensions."""
 
 import numpy as np
 import pytest
@@ -9,19 +10,17 @@ from repro import AdaptiveConfig, AdaptiveLSH
 from repro.datasets import generate_cora, generate_spotsigs
 from repro.online import StreamingTopK
 from repro.serve import IndexSnapshot, ResolverSession
+from tests.oracles import assert_canonical, bucket_partition, partition
 
 
 def _clusters(result):
     return [tuple(int(r) for r in c.rids) for c in result.clusters]
 
 
-def _run(dataset, bin_index, n_jobs=None, kernels=None, k=3):
+def _run(dataset, n_jobs=None, kernels=None, k=3, bin_index_bytes=None):
+    overrides = {} if bin_index_bytes is None else {"bin_index_bytes": bin_index_bytes}
     config = AdaptiveConfig(
-        seed=7,
-        cost_model="analytic",
-        bin_index=bin_index,
-        n_jobs=n_jobs,
-        kernels=kernels,
+        seed=7, cost_model="analytic", n_jobs=n_jobs, kernels=kernels, **overrides
     )
     with AdaptiveLSH(dataset.store, dataset.rule, config=config) as method:
         result = method.run(k)
@@ -32,35 +31,34 @@ def _run(dataset, bin_index, n_jobs=None, kernels=None, k=3):
 @pytest.mark.parametrize("n_jobs", [None, 2])
 def test_bin_index_on_off_identical(generate, n_jobs):
     dataset = generate(n_records=300, seed=1)
-    off = _run(dataset, False, n_jobs=n_jobs)
-    on = _run(dataset, True, n_jobs=n_jobs)
-    assert _clusters(off) == _clusters(on)
-    assert off.counters.pairs_compared == on.counters.pairs_compared
-    assert off.counters.hashes_computed == on.counters.hashes_computed
-    assert off.bin_index_stats is None
+    reference = _run(dataset)
+    on = _run(dataset, n_jobs=n_jobs)
+    off = _run(dataset, n_jobs=n_jobs, bin_index_bytes=0)
+    for result in (on, off):
+        assert _clusters(result) == _clusters(reference)
+        assert result.counters.pairs_compared == reference.counters.pairs_compared
+        assert result.counters.hashes_computed == reference.counters.hashes_computed
+    for cluster in on.clusters:
+        assert (np.diff(cluster.rids) > 0).all()
     stats = on.bin_index_stats
-    assert stats is not None
     assert stats["tables_grouped"] > 0
     assert stats["degraded"] == 0
+    assert off.bin_index_stats["degraded"] > 0
 
 
 @pytest.mark.parametrize("kernels", ["numpy", "packed"])
 def test_bin_index_identical_per_kernel_backend(kernels):
     dataset = generate_spotsigs(n_records=300, seed=2)
-    off = _run(dataset, False, kernels=kernels)
-    on = _run(dataset, True, kernels=kernels)
-    assert _clusters(off) == _clusters(on)
+    reference = _run(dataset, kernels="numpy", bin_index_bytes=0)
+    on = _run(dataset, kernels=kernels)
+    assert _clusters(reference) == _clusters(on)
     assert on.info["kernels"] == kernels
 
 
 def test_zero_byte_budget_degrades_identically():
     dataset = generate_cora(n_records=250, seed=3)
-    on = _run(dataset, True)
-    config = AdaptiveConfig(
-        seed=7, cost_model="analytic", bin_index=True, bin_index_bytes=0
-    )
-    with AdaptiveLSH(dataset.store, dataset.rule, config=config) as method:
-        broke = method.run(3)
+    on = _run(dataset)
+    broke = _run(dataset, bin_index_bytes=0)
     assert _clusters(on) == _clusters(broke)
     assert broke.bin_index_stats["degraded"] > 0
     assert broke.bin_index_stats["bytes"] == 0
@@ -68,7 +66,7 @@ def test_zero_byte_budget_degrades_identically():
 
 def test_snapshot_restore_keeps_identity():
     dataset = generate_spotsigs(n_records=250, seed=4)
-    config = AdaptiveConfig(seed=5, cost_model="analytic", bin_index=True)
+    config = AdaptiveConfig(seed=5, cost_model="analytic")
     with AdaptiveLSH(dataset.store, dataset.rule, config=config) as cold:
         cold_result = cold.run(3)
         snapshot = IndexSnapshot.capture(cold)
@@ -78,27 +76,38 @@ def test_snapshot_restore_keeps_identity():
     finally:
         warm.close()
     assert _clusters(cold_result) == _clusters(warm_result)
-    assert warm_result.bin_index_stats is not None
+    assert warm_result.bin_index_stats["tables_grouped"] > 0
 
 
 def test_streaming_identical_on_off():
+    """Streaming with fingerprint storage on and off gives the same
+    coarse clusters and answers; the coarse clusters are the
+    brute-force ``H_1`` bucket partition, size-sorted over the
+    canonical order."""
     dataset = generate_cora(n_records=300, seed=6)
     rids = np.arange(len(dataset.store), dtype=np.int64)
     outputs = []
-    for bin_index in (False, True):
-        config = AdaptiveConfig(
-            seed=6, cost_model="analytic", bin_index=bin_index
-        )
+    for budget in (None, 0):
+        overrides = {} if budget is None else {"bin_index_bytes": budget}
+        config = AdaptiveConfig(seed=6, cost_model="analytic", **overrides)
         stream = StreamingTopK(dataset.store, dataset.rule, config=config)
         try:
             per_query = []
+            seen = np.empty(0, dtype=np.int64)
             for batch in np.array_split(rids, 4):
                 stream.insert_many(batch)
-                per_query.append(
-                    [c.tolist() for c in stream.current_clusters()]
+                seen = np.concatenate([seen, batch])
+                coarse = stream.current_clusters()
+                assert partition(coarse) == bucket_partition(
+                    stream.method._functions[0].scheme, seen
                 )
+                sizes = [c.size for c in coarse]
+                assert sizes == sorted(sizes, reverse=True)
+                for size in set(sizes):
+                    assert_canonical([c for c in coarse if c.size == size])
+                per_query.append([c.tolist() for c in coarse])
                 per_query.append(_clusters(stream.top_k(3)))
-            assert (stream.delta_index is not None) is bin_index
+            assert stream.delta_index.indexed_records == rids.size
         finally:
             stream.method.close()
         outputs.append(per_query)
@@ -106,35 +115,31 @@ def test_streaming_identical_on_off():
 
 
 def test_session_extension_identical_and_carried():
+    """A session that carries the delta index across two extensions
+    answers like a carry-less stream that re-inserts every record."""
     full = generate_spotsigs(n_records=500, seed=7)
     n_head, n_mid = 300, 400
     head = full.store.take(np.arange(n_head))
     ext1 = full.store.take(np.arange(n_head, n_mid))
     ext2 = full.store.take(np.arange(n_mid, len(full.store)))
-    outputs = []
-    for bin_index in (False, True):
-        config = AdaptiveConfig(
-            seed=3, cost_model="analytic", bin_index=bin_index
-        )
-        with ResolverSession(head, full.rule, config=config) as session:
-            got = [_clusters(session.top_k(4))]
-            session.extend_store(ext1)
-            got.append(_clusters(session.top_k(4)))
-            session.extend_store(ext2)
-            got.append(_clusters(session.top_k(4)))
-            if bin_index:
-                assert session._stream is not None
-                assert session._stream.carried
-                stats = session.serving_stats()["bin_index"]
-                # Only the second extension's rows went through the
-                # delta insert — a full re-group would touch them all.
-                assert stats["delta"]["rows"] == (
-                    (len(full.store) - n_mid)
-                    * session._stream.delta_index.export_state()[
-                        "table_count"
-                    ]
-                )
-            else:
-                assert session.serving_stats()["bin_index"] is None
-        outputs.append(got)
-    assert outputs[0] == outputs[1]
+    config = AdaptiveConfig(seed=3, cost_model="analytic")
+    with ResolverSession(head, full.rule, config=config) as session:
+        session.top_k(4)
+        session.extend_store(ext1)
+        session.top_k(4)
+        session.extend_store(ext2)
+        carried_answer = _clusters(session.top_k(4))
+        stream = session._stream
+        assert stream is not None and stream.carried
+        stats = session.serving_stats()["bin_index"]
+        # Only the second extension's rows went through the delta
+        # insert — a full re-group would touch them all.
+        table_count = stream.delta_index.export_state()["table_count"]
+        assert stats["delta"]["rows"] == (len(full.store) - n_mid) * table_count
+        fresh = StreamingTopK(session.store, method=session.method)
+        fresh.insert_many(session.store.rids)
+        assert not fresh.carried
+        assert [c.tolist() for c in fresh.current_clusters()] == [
+            c.tolist() for c in stream.current_clusters()
+        ]
+        assert _clusters(fresh.top_k(4)) == carried_answer

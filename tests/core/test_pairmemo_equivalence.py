@@ -1,6 +1,6 @@
 """Property tests (issue satellite): pair-verdict memoization never
 changes output.  Memo-on equals memo-off bit-for-bit — cluster content
-AND leaf order — across seeds, strategies, worker counts, snapshot
+AND member order — across seeds, strategies, worker counts, snapshot
 restores, and streaming insert-then-refine; a fully warm memo makes a
 repeated refine free (``pairs_compared == 0``)."""
 
@@ -40,7 +40,7 @@ def _bound_memo(store, rule):
 
 
 def _assert_identical(expected, actual):
-    """Bit-identity: same cluster count, content, and leaf order."""
+    """Bit-identity: same cluster count, content, and member order."""
     assert len(expected) == len(actual)
     for a, b in zip(expected, actual):
         assert np.array_equal(a, b)
@@ -55,7 +55,7 @@ def _cluster_lists(result):
 @pytest.mark.parametrize("strategy", ["rowwise", "blocked"])
 def test_cold_and_warm_match_memo_off(kind, seed, strategy, monkeypatch):
     """Both strategies, cold memo (every pair unknown) and warm memo
-    (every pair remembered) reproduce the memo-off edge replay exactly."""
+    (every pair remembered) reproduce the memo-off clusters exactly."""
     # Shrink the row-block height so these modest stores span several
     # blocks and the cross-block rectangle planner is exercised.
     monkeypatch.setattr(pairwise_fn, "BLOCK", 32)

@@ -1,10 +1,11 @@
 """Property tests for the persistent bin index.
 
-The load-bearing claim is *bit-identity*: :func:`group_table` must
-reproduce the legacy void-argsort collision grouping — group content
-AND yield order — for every input, including adversarial fingerprint
-regimes (all fingerprints equal, low-entropy fingerprints) where the
-byte tie-break inside fingerprint runs does all the work.
+The load-bearing claim is that fingerprint grouping finds exactly the
+buckets of the legacy dict-of-bytes grouping (one dict entry per key,
+the structure the streaming front-end kept before the delta index) for
+every input, including adversarial fingerprint regimes (all
+fingerprints equal, low-entropy fingerprints) where the byte tie-break
+inside fingerprint runs does all the work.
 """
 
 import numpy as np
@@ -13,16 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import AdaptiveConfig
-from repro.errors import ConfigurationError
 from repro.lsh.binindex import (
-    BIN_INDEX_ENV,
     H1DeltaIndex,
     SchemeBinIndex,
-    csr_to_groups,
     fingerprint_words,
     group_table,
     pack_key_words,
-    resolve_bin_index,
     strided_key_words,
 )
 from repro.lsh.families import SignaturePool
@@ -30,25 +27,7 @@ from repro.lsh.minhash import MinHashFamily
 from repro.lsh.scheme import HashingScheme, PoolUse, TableGroup
 from repro.structures.union_find import UnionFind
 from tests.conftest import make_shingle_store
-
-
-def legacy_groups(rows):
-    """The void-argsort reference grouping from
-    ``HashingScheme.iter_table_collisions``, inlined byte for byte."""
-    rows = np.ascontiguousarray(rows, dtype=np.uint8)
-    if rows.shape[0] == 0:
-        return []
-    void = rows.view(
-        np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))
-    ).ravel()
-    order = np.argsort(void, kind="stable")
-    sorted_keys = void[order]
-    change = np.empty(order.size, dtype=bool)
-    change[0] = True
-    change[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    starts = np.nonzero(change)[0]
-    ends = np.r_[starts[1:], order.size]
-    return [order[s:e] for s, e in zip(starts, ends) if e - s >= 2]
+from tests.oracles import bucket_partition, csr_groups, row_groups, scheme_groups
 
 
 def words_of_rows(rows):
@@ -58,10 +37,13 @@ def words_of_rows(rows):
     return words_of
 
 
-def assert_same_groups(got, expected):
-    assert len(got) == len(expected)
-    for g, e in zip(got, expected):
-        np.testing.assert_array_equal(g, e)
+def assert_legacy_groups(csr, rows):
+    """CSR groups equal the legacy dict-of-bytes groups of ``rows``,
+    each group's members in ascending row position."""
+    members, starts = csr
+    for i in range(len(starts) - 1):
+        assert (np.diff(members[starts[i] : starts[i + 1]]) > 0).all()
+    assert csr_groups(members, starts) == row_groups(rows)
 
 
 @st.composite
@@ -83,15 +65,13 @@ class TestGroupTable:
             if rows.shape[0]
             else np.empty(0, dtype=np.uint64)
         )
-        got = csr_to_groups(*group_table(fps, words_of_rows(rows)))
-        assert_same_groups(got, legacy_groups(rows))
+        assert_legacy_groups(group_table(fps, words_of_rows(rows)), rows)
 
     @settings(max_examples=100, deadline=None)
     @given(rows=key_matrix())
     def test_matches_legacy_when_all_fingerprints_collide(self, rows):
         fps = np.zeros(rows.shape[0], dtype=np.uint64)
-        got = csr_to_groups(*group_table(fps, words_of_rows(rows)))
-        assert_same_groups(got, legacy_groups(rows))
+        assert_legacy_groups(group_table(fps, words_of_rows(rows)), rows)
 
     @settings(max_examples=100, deadline=None)
     @given(rows=key_matrix(), buckets=st.integers(2, 5))
@@ -104,8 +84,7 @@ class TestGroupTable:
             else np.empty(0, dtype=np.uint64)
         )
         fps = honest % np.uint64(buckets)
-        got = csr_to_groups(*group_table(fps, words_of_rows(rows)))
-        assert_same_groups(got, legacy_groups(rows))
+        assert_legacy_groups(group_table(fps, words_of_rows(rows)), rows)
 
     @settings(max_examples=100, deadline=None)
     @given(rows=key_matrix())
@@ -157,36 +136,16 @@ class TestWords:
 
 
 class TestResolve:
-    def test_explicit_flag_wins(self, monkeypatch):
-        monkeypatch.setenv(BIN_INDEX_ENV, "0")
-        assert resolve_bin_index(True) is True
-        assert resolve_bin_index(False) is False
-
-    def test_env_values(self, monkeypatch):
-        monkeypatch.delenv(BIN_INDEX_ENV, raising=False)
-        assert resolve_bin_index() is True
-        for raw, expected in [
-            ("1", True),
-            ("true", True),
-            ("on", True),
-            ("0", False),
-            ("no", False),
-            ("off", False),
-        ]:
-            monkeypatch.setenv(BIN_INDEX_ENV, raw)
-            assert resolve_bin_index() is expected
-
-    def test_bad_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv(BIN_INDEX_ENV, "maybe")
-        with pytest.raises(ConfigurationError):
-            resolve_bin_index()
-
     def test_config_knob_round_trips(self):
-        cfg = AdaptiveConfig(bin_index=False, bin_index_bytes=1024)
+        cfg = AdaptiveConfig(bin_index_bytes=1024)
         d = cfg.to_dict()
-        assert d["bin_index"] is False
         assert d["bin_index_bytes"] == 1024
-        assert AdaptiveConfig.from_dict(d).bin_index is False
+        assert "bin_index" not in d
+        assert AdaptiveConfig.from_dict(d).bin_index_bytes == 1024
+
+    def test_retired_switch_key_is_dropped(self):
+        d = dict(AdaptiveConfig().to_dict(), bin_index=None)
+        assert AdaptiveConfig.from_dict(d) == AdaptiveConfig()
 
 
 @pytest.fixture(scope="module")
@@ -197,28 +156,11 @@ def h1_scheme():
     return store, scheme
 
 
-def dict_partition(scheme, batches, n):
-    """The dict-table streaming reference partition."""
-    uf = UnionFind(n)
-    tables = [dict() for _ in range(scheme.table_count)]
-    for batch in batches:
-        for table, keys in zip(tables, scheme.iter_table_keys(batch)):
-            for rid_raw, key in zip(batch, keys):
-                rid = int(rid_raw)
-                prev = table.get(key)
-                if prev is not None:
-                    uf.union(rid, prev)
-                table[key] = rid
-    return roots_of(uf, n)
-
-
-def roots_of(uf, n):
-    return tuple(uf.find(i) for i in range(n))
-
-
-def canonical(roots):
-    seen = {}
-    return tuple(seen.setdefault(r, len(seen)) for r in roots)
+def uf_partition(uf, rids):
+    roots = {}
+    for rid in rids:
+        roots.setdefault(uf.find(int(rid)), set()).add(int(rid))
+    return {frozenset(g) for g in roots.values()}
 
 
 class TestH1DeltaIndex:
@@ -227,6 +169,8 @@ class TestH1DeltaIndex:
     def test_partition_matches_dict_tables(
         self, h1_scheme, seed, n_batches
     ):
+        """Random insert batches give the brute-force ``H_1`` bucket
+        partition of the records inserted so far, after every batch."""
         store, scheme = h1_scheme
         n = len(store)
         rng = np.random.default_rng(seed)
@@ -237,12 +181,12 @@ class TestH1DeltaIndex:
         delta = owner.h1_delta(scheme, None)
         assert isinstance(delta, H1DeltaIndex)
         uf = UnionFind(n)
+        seen = np.empty(0, dtype=np.int64)
         for batch in batches:
-            assert delta.insert(batch, uf)
+            delta.insert(batch, uf)
+            seen = np.sort(np.concatenate([seen, batch]))
+            assert uf_partition(uf, seen) == bucket_partition(scheme, seen)
         assert delta.indexed_records == n
-        assert canonical(roots_of(uf, n)) == canonical(
-            dict_partition(scheme, batches, n)
-        )
 
     def test_export_adopt_round_trip(self, h1_scheme):
         store, scheme = h1_scheme
@@ -253,17 +197,15 @@ class TestH1DeltaIndex:
         owner = SchemeBinIndex(n)
         delta = owner.h1_delta(scheme, None)
         uf = UnionFind(n)
-        assert delta.insert(first, uf)
+        delta.insert(first, uf)
         state = delta.export_state()
 
         successor_owner = SchemeBinIndex(n)
-        successor = successor_owner.h1_delta(scheme, None, state=state)
-        assert successor is not None
+        successor = successor_owner.h1_delta(scheme, None)
+        assert successor.adopt_state(state)
         assert successor.indexed_records == first.size
-        assert successor.insert(rest, uf)
-        assert canonical(roots_of(uf, n)) == canonical(
-            dict_partition(scheme, [rids], n)
-        )
+        successor.insert(rest, uf)
+        assert uf_partition(uf, rids) == bucket_partition(scheme, rids)
         assert successor_owner.delta_rows == rest.size * scheme.table_count
 
     def test_adopt_rejects_layout_mismatch(self, h1_scheme):
@@ -271,37 +213,28 @@ class TestH1DeltaIndex:
         owner = SchemeBinIndex(len(store))
         delta = owner.h1_delta(scheme, None)
         uf = UnionFind(len(store))
-        assert delta.insert(np.arange(4, dtype=np.int64), uf)
+        delta.insert(np.arange(4, dtype=np.int64), uf)
         state = delta.export_state()
         state["table_count"] = scheme.table_count + 1
-        assert owner.h1_delta(scheme, None, state=state) is None
+        fresh = owner.h1_delta(scheme, None)
+        assert not fresh.adopt_state(state)
+        assert fresh.indexed_records == 0
 
-    def test_adopt_rejects_over_budget(self, h1_scheme):
+    def test_delta_arrays_ignore_fingerprint_budget(self, h1_scheme):
+        """The byte budget bounds fingerprint matrices only: inserts
+        and adoption always succeed, and their arrays are counted."""
         store, scheme = h1_scheme
-        owner = SchemeBinIndex(len(store))
+        n = len(store)
+        owner = SchemeBinIndex(n, max_bytes=0)
         delta = owner.h1_delta(scheme, None)
-        uf = UnionFind(len(store))
-        assert delta.insert(np.arange(8, dtype=np.int64), uf)
-        state = delta.export_state()
-        broke = SchemeBinIndex(len(store), max_bytes=0)
-        assert broke.h1_delta(scheme, None, state=state) is None
-        assert broke.degraded == 1
-
-    def test_insert_over_budget_returns_false_without_mutation(
-        self, h1_scheme
-    ):
-        store, scheme = h1_scheme
-        # Enough budget for the fingerprint matrix but not the arrays.
-        owner = SchemeBinIndex(
-            len(store), max_bytes=len(store) * (scheme.table_count * 8 + 1)
-        )
-        delta = owner.h1_delta(scheme, None)
-        uf = UnionFind(len(store))
-        before = roots_of(uf, len(store))
-        assert delta.insert(np.arange(10, dtype=np.int64), uf) is False
-        assert owner.degraded == 1
-        assert delta.indexed_records == 0
-        assert roots_of(uf, len(store)) == before
+        uf = UnionFind(n)
+        delta.insert(np.arange(10, dtype=np.int64), uf)
+        assert delta.indexed_records == 10
+        assert owner.indexed_bytes == 10 * scheme.table_count * 16
+        successor_owner = SchemeBinIndex(n, max_bytes=0)
+        successor = successor_owner.h1_delta(scheme, None)
+        assert successor.adopt_state(delta.export_state())
+        assert successor.indexed_records == 10
 
 
 class TestBudgetDegradation:
@@ -312,20 +245,17 @@ class TestBudgetDegradation:
         cached = SchemeBinIndex(len(store))
         broke = SchemeBinIndex(len(store), max_bytes=0)
         got_cached = [
-            csr_to_groups(*csr)
+            csr_groups(*csr)
             for csr in cached.level(1).iter_table_groups(scheme, rids)
         ]
         got_broke = [
-            csr_to_groups(*csr)
+            csr_groups(*csr)
             for csr in broke.level(1).iter_table_groups(scheme, rids)
         ]
-        legacy = list(scheme.iter_table_collisions(rids))
         assert broke.degraded == 1
         assert broke.indexed_bytes == 0
         assert cached.indexed_bytes > 0
-        for a, b, c in zip(got_cached, got_broke, legacy):
-            assert_same_groups(a, c)
-            assert_same_groups(b, c)
+        assert got_cached == got_broke == scheme_groups(scheme, rids)
 
     def test_cached_fingerprints_hit_on_reuse(self, h1_scheme):
         store, scheme = h1_scheme
@@ -346,10 +276,33 @@ class TestBudgetDegradation:
         ).astype(np.int64)
         owner = SchemeBinIndex(len(store))
         got = [
-            csr_to_groups(*csr)
+            csr_groups(*csr)
             for csr in owner.level(1).iter_table_groups(scheme, rids)
         ]
-        legacy = list(scheme.iter_table_collisions(rids))
         assert len(got) == scheme.table_count
-        for a, b in zip(got, legacy):
-            assert_same_groups(a, b)
+        assert got == scheme_groups(scheme, rids)
+
+    def test_forced_fingerprint_collisions(self, h1_scheme, monkeypatch):
+        """Every fingerprint equal: the byte tie-break alone must split
+        the one fingerprint run into the true buckets, with and without
+        a key cache."""
+        from repro.lsh import binindex
+        from repro.lsh.keycache import LevelKeyCache
+
+        store, scheme = h1_scheme
+        rids = np.arange(len(store), dtype=np.int64)
+        expected = scheme_groups(scheme, rids)
+        monkeypatch.setattr(
+            binindex,
+            "fingerprint_words",
+            lambda words: np.zeros(words.shape[0], dtype=np.uint64),
+        )
+        for key_cache in (None, LevelKeyCache(len(store)).entry(1)):
+            owner = SchemeBinIndex(len(store))
+            got = [
+                csr_groups(*csr)
+                for csr in owner.level(1).iter_table_groups(
+                    scheme, rids, key_cache=key_cache
+                )
+            ]
+            assert got == expected

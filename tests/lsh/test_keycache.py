@@ -4,9 +4,11 @@ import numpy as np
 
 from repro.distance import CosineDistance
 from repro.lsh.design import design_sequence
+from repro.lsh.binindex import SchemeBinIndex
 from repro.lsh.keycache import LevelKeyCache
 from repro.distance.rules import ThresholdRule
 from tests.conftest import make_vector_store
+from tests.oracles import csr_groups, scheme_groups
 
 
 def _scheme(store, rule):
@@ -75,16 +77,16 @@ class TestLevelKeyCache:
         cache = LevelKeyCache(len(store))
         entry = cache.entry(1)
         rids = store.rids[5:40]
-        plain = [
-            [g.tolist() for g in groups]
-            for groups in scheme.iter_table_collisions(rids)
-        ]
-        cached = [
-            [g.tolist() for g in groups]
-            for groups in scheme.iter_table_collisions(rids, key_cache=entry)
-        ]
-        cached_again = [
-            [g.tolist() for g in groups]
-            for groups in scheme.iter_table_collisions(rids, key_cache=entry)
-        ]
-        assert plain == cached == cached_again
+
+        def groups(key_cache):
+            bins = SchemeBinIndex(len(store)).level(1)
+            return [
+                csr_groups(*csr)
+                for csr in bins.iter_table_groups(scheme, rids, key_cache=key_cache)
+            ]
+
+        plain = groups(None)
+        cached = groups(entry)
+        cached_again = groups(entry)
+        assert cache.hits == rids.size
+        assert plain == cached == cached_again == scheme_groups(scheme, rids)

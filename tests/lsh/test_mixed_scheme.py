@@ -17,6 +17,7 @@ from repro.lsh.probability import (
 from repro.lsh.scheme import HashingScheme, PoolUse, TableGroup
 from tests.conftest import make_vector_store
 from tests.lsh.test_design import FakeComponent, linear_p
+from tests.oracles import table_keys
 
 
 class TestMixedProbability:
@@ -90,9 +91,9 @@ class TestPoolOffsets:
         base = HashingScheme([TableGroup(1, (PoolUse(pool, 4, offset=0),))])
         shifted = HashingScheme([TableGroup(1, (PoolUse(pool, 4, offset=4),))])
         again = HashingScheme([TableGroup(1, (PoolUse(pool, 4, offset=0),))])
-        keys_base = next(iter(base.iter_table_keys(rids)))
-        keys_shift = next(iter(shifted.iter_table_keys(rids)))
-        keys_again = next(iter(again.iter_table_keys(rids)))
+        keys_base = table_keys(base, rids)[0]
+        keys_shift = table_keys(shifted, rids)[0]
+        keys_again = table_keys(again, rids)[0]
         assert keys_base == keys_again
         assert keys_base != keys_shift
 

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.lsh.binindex import SchemeBinIndex
 from repro.lsh.families import SignaturePool
 from repro.lsh.hyperplanes import RandomHyperplaneFamily
 from repro.lsh.minhash import MinHashFamily
 from repro.lsh.scheme import HashingScheme, PoolUse, TableGroup
 from tests.conftest import make_shingle_store, make_vector_store
+from tests.oracles import csr_groups, scheme_groups, table_keys
 
 
 @pytest.fixture()
@@ -69,7 +71,7 @@ class TestKeysAndCollisions:
     def test_key_count_matches_tables(self, vector_pool):
         scheme = HashingScheme([TableGroup(7, (PoolUse(vector_pool, 3),))])
         rids = np.arange(9)
-        tables = list(scheme.iter_table_keys(rids))
+        tables = table_keys(scheme, rids)
         assert len(tables) == 7
         assert all(len(keys) == 9 for keys in tables)
 
@@ -77,29 +79,21 @@ class TestKeysAndCollisions:
         store, _ = make_vector_store(cluster_sizes=(2,), n_noise=0, scale=0.0)
         pool = SignaturePool(RandomHyperplaneFamily(store, "vec", seed=1))
         scheme = HashingScheme([TableGroup(6, (PoolUse(pool, 4),))])
-        for keys in scheme.iter_table_keys(np.array([0, 1])):
+        for keys in table_keys(scheme, np.array([0, 1])):
             assert keys[0] == keys[1]
 
     def test_collision_groups_match_key_equality(self, shingle_pool):
         scheme = HashingScheme([TableGroup(8, (PoolUse(shingle_pool, 1),))])
         rids = np.arange(20)
-        keys_by_table = list(scheme.iter_table_keys(rids))
-        groups_by_table = list(scheme.iter_table_collisions(rids))
-        assert len(keys_by_table) == len(groups_by_table)
-        for keys, groups in zip(keys_by_table, groups_by_table):
-            expected: dict = {}
-            for pos, key in enumerate(keys):
-                expected.setdefault(key, []).append(pos)
-            expected_groups = {
-                frozenset(v) for v in expected.values() if len(v) >= 2
-            }
-            got_groups = {frozenset(g.tolist()) for g in groups}
-            assert got_groups == expected_groups
+        bins = SchemeBinIndex(len(shingle_pool)).level(1)
+        got = [csr_groups(*csr) for csr in bins.iter_table_groups(scheme, rids)]
+        assert got == scheme_groups(scheme, rids)
 
     def test_collision_groups_have_no_singletons(self, vector_pool):
         scheme = HashingScheme([TableGroup(4, (PoolUse(vector_pool, 2),))])
-        for groups in scheme.iter_table_collisions(np.arange(30)):
-            assert all(len(g) >= 2 for g in groups)
+        bins = SchemeBinIndex(len(vector_pool)).level(1)
+        for _members, starts in bins.iter_table_groups(scheme, np.arange(30)):
+            assert (np.diff(starts) >= 2).all()
 
     def test_multi_pool_keys_concatenate(self, vector_pool, shingle_pool):
         """AND construction: records match a bucket only if BOTH pools'
@@ -107,11 +101,9 @@ class TestKeysAndCollisions:
         group = TableGroup(3, (PoolUse(vector_pool, 2), PoolUse(shingle_pool, 2)))
         scheme = HashingScheme([group])
         rids = np.arange(12)
-        and_keys = list(scheme.iter_table_keys(rids))
-        only_vec = list(
-            HashingScheme(
-                [TableGroup(3, (PoolUse(vector_pool, 2),))]
-            ).iter_table_keys(rids)
+        and_keys = table_keys(scheme, rids)
+        only_vec = table_keys(
+            HashingScheme([TableGroup(3, (PoolUse(vector_pool, 2),))]), rids
         )
         for table_and, table_vec in zip(and_keys, only_vec):
             for i in range(len(rids)):
@@ -122,8 +114,8 @@ class TestKeysAndCollisions:
     def test_incremental_reuse_across_schemes(self, vector_pool):
         """A bigger scheme over the same pool recomputes nothing."""
         small = HashingScheme([TableGroup(4, (PoolUse(vector_pool, 3),))])
-        list(small.iter_table_keys(np.arange(10)))
+        small.table_key_rows(np.arange(10))
         computed = vector_pool.hashes_computed
         big = HashingScheme([TableGroup(8, (PoolUse(vector_pool, 3),))])
-        list(big.iter_table_keys(np.arange(10)))
+        big.table_key_rows(np.arange(10))
         assert vector_pool.hashes_computed == computed + 10 * 12

@@ -1,7 +1,8 @@
 """Property test (issue satellite): the rowwise, blocked, and
 parallel-blocked pairwise strategies produce identical connected
 components on random stores and rules across seeds — and the two
-blocked variants are bit-identical, cluster order included."""
+blocked variants are bit-identical, cluster order included (both emit
+the canonical order)."""
 
 import numpy as np
 import pytest
@@ -56,9 +57,8 @@ def test_all_strategies_agree(kind, seed, monkeypatch):
 
     assert _components(rowwise) == _components(blocked)
     assert _components(blocked) == _components(parallel)
-    # The parallel replay preserves the serial union sequence exactly,
-    # so with the same (patched) block size the serial blocked pass
-    # must agree bit-for-bit, order included.
+    # Both blocked variants emit the canonical cluster order, so the
+    # serial blocked pass must agree bit-for-bit, order included.
     blocked_small = PairwiseComputation(store, rule, strategy="blocked").apply(
         rids
     )

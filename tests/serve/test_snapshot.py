@@ -16,7 +16,7 @@ from repro.datasets import (
     generate_querylog,
     generate_spotsigs,
 )
-from repro.errors import SnapshotError
+from repro.errors import ConfigurationError, SnapshotError
 from repro.io import pack_json_header, unpack_json_header
 from repro.serve import SNAPSHOT_MAGIC, SNAPSHOT_VERSION, IndexSnapshot
 
@@ -218,3 +218,57 @@ class TestExtensionRestore:
         extended = other.store.concat(dataset.store)
         with pytest.raises(SnapshotError, match="extension"):
             snap.restore(extended, strict=False)
+
+
+class TestPersistence:
+    @pytest.fixture(scope="class")
+    def captured(self):
+        dataset = _generate("querylog", seed=8)
+        config = AdaptiveConfig(seed=8, cost_model="analytic")
+        with AdaptiveLSH(dataset.store, dataset.rule, config=config) as m:
+            cold_result = m.run(3)
+            snap = IndexSnapshot.capture(m)
+        return dataset, snap, cold_result
+
+    def test_header_with_retired_bin_index_key_restores(self, captured):
+        """Snapshots saved while ``bin_index`` was a config switch carry
+        that key in their header; it is dropped on restore."""
+        dataset, snap, cold_result = captured
+        header = dict(snap.header, config=dict(snap.header["config"], bin_index=None))
+        warm = IndexSnapshot(header, snap.arrays).restore(dataset.store)
+        try:
+            assert _result_key(warm.run(3)) == _result_key(cold_result)
+        finally:
+            warm.close()
+
+    def test_other_unknown_config_keys_still_rejected(self, captured):
+        dataset, snap, _ = captured
+        header = dict(snap.header, config=dict(snap.header["config"], bogus=1))
+        with pytest.raises(ConfigurationError, match="bogus"):
+            IndexSnapshot(header, snap.arrays).restore(dataset.store)
+
+    def test_suffix_appended_like_savez(self, captured, tmp_path):
+        _, snap, _ = captured
+        snap.save(tmp_path / "index")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["index.npz"]
+        assert IndexSnapshot.load(tmp_path / "index.npz").header == snap.header
+
+    def test_failed_save_keeps_previous_snapshot(self, captured, tmp_path, monkeypatch):
+        """A save that dies mid-write leaves the previous snapshot
+        loadable and no temporary file behind."""
+        _, snap, _ = captured
+        path = tmp_path / "index.npz"
+        snap.save(path)
+        before = path.read_bytes()
+
+        def torn_write(file, **arrays):
+            file.write(b"PK\x03\x04 partial archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez_compressed", torn_write)
+        changed = IndexSnapshot(dict(snap.header, rng="changed"), snap.arrays)
+        with pytest.raises(OSError, match="disk full"):
+            changed.save(path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["index.npz"]
+        assert IndexSnapshot.load(path).header == snap.header

@@ -1,11 +1,13 @@
-"""Tests for the union-find structures: the plain cross-check
-structure and the leaf-chain variant backing batched edge replay."""
+"""Tests for the union-find structures: the incremental
+:class:`UnionFind`, the batch :class:`ClusterUnionFind`, and the
+canonical cluster order they emit."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.structures import ClusterUnionFind, ParentPointerForest, UnionFind
+from repro.structures import ClusterUnionFind, UnionFind, canonical_clusters, union_find
+from tests.oracles import assert_canonical, dsu_partition, partition
 
 
 class TestBasics:
@@ -105,31 +107,17 @@ def test_union_edges_matches_sequential_unions(n, edges):
     n=st.integers(1, 30),
     edges=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=60),
 )
-def test_cluster_union_find_matches_forest_replay(n, edges):
-    """Property (issue satellite): ``ClusterUnionFind.union_edges``
-    reproduces a ``ParentPointerForest`` replay of the same edge
-    sequence byte for byte — membership, leaf order within each
-    cluster, and cluster emission order."""
+def test_cluster_union_find_matches_dsu_oracle(n, edges):
+    """``ClusterUnionFind`` gives the oracle's partition, in the
+    canonical order (members ascending, clusters by smallest member)."""
     a, b = _edge_arrays(n, edges)
-
     cuf = ClusterUnionFind(n)
     cuf.union_edges(a, b)
-
-    forest = ParentPointerForest()
-    for x in range(n):
-        forest.make_singleton(x)
-    for x, y in zip(a.tolist(), b.tolist()):
-        if x != y:
-            forest.union_records(x, y)
-    expected = [
-        np.fromiter(forest.leaves(root), dtype=np.int64)
-        for root in forest.roots()
-    ]
-
-    actual = cuf.clusters()
-    assert len(actual) == len(expected)
-    for got, want in zip(actual, expected):
-        assert np.array_equal(got, want)
+    clusters = cuf.clusters()
+    assert_canonical(clusters)
+    assert partition(clusters) == dsu_partition(
+        range(n), zip(a.tolist(), b.tolist())
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -148,10 +136,43 @@ def test_cluster_union_edges_batching_is_transparent(n, edges, split):
     whole.union_edges(a, b)
     parts = ClusterUnionFind(n)
     parts.union_edges(a[:cut], b[:cut])
-    for x, y in zip(a[cut:].tolist(), b[cut:].tolist()):
-        parts.union(x, y)  # per-edge entry point on the tail
+    for i in range(cut, a.size):
+        parts.union_edges(a[i : i + 1], b[i : i + 1])
 
     got, want = parts.clusters(), whole.clusters()
     assert len(got) == len(want)
     for ga, wa in zip(got, want):
         assert np.array_equal(ga, wa)
+
+
+def test_cluster_union_find_compacts_large_buffers(monkeypatch):
+    """Past the buffer threshold the edges fold into one spanning edge
+    per node; the partition is unchanged."""
+    rng = np.random.default_rng(3)
+    a = rng.integers(0, 40, size=200)
+    b = rng.integers(0, 40, size=200)
+    whole = ClusterUnionFind(40)
+    whole.union_edges(a, b)
+    monkeypatch.setattr(union_find, "_COMPACT_EDGES", 16)
+    compacted = ClusterUnionFind(40)
+    for lo in range(0, 200, 10):
+        compacted.union_edges(a[lo : lo + 10], b[lo : lo + 10])
+    assert compacted._pending <= 40 + 10
+    assert [c.tolist() for c in compacted.clusters()] == [
+        c.tolist() for c in whole.clusters()
+    ]
+
+
+def test_union_find_labels_are_roots():
+    uf = UnionFind(7)
+    for x, y in [(0, 3), (3, 5), (6, 1)]:
+        uf.union(x, y)
+    assert uf.labels().tolist() == [uf.find(x) for x in range(7)]
+
+
+def test_canonical_clusters_sorts_unsorted_input():
+    rids = np.array([9, 2, 7, 4, 1])
+    labels = np.array([0, 1, 0, 1, 2])
+    got = canonical_clusters(rids, labels)
+    assert [c.tolist() for c in got] == [[1], [2, 4], [7, 9]]
+    assert canonical_clusters(np.empty(0, dtype=np.int64), []) == []
